@@ -148,12 +148,15 @@ def cmd_digrectory(args) -> int:
     try:
         while not stop.is_set():
             stop.wait(args.publish_interval)
+            directory.follow_journal()
             directory.expire_stale()
             if publisher is not None:
                 try:
                     publisher.publish()
                 except (EndpointUnreachable, ApiError):
                     pass  # keep serving; the next tick retries
+    except ParseError as err:
+        return _fail(f"journal: {err}")
     finally:
         server.stop()
     return OK
@@ -220,35 +223,13 @@ def cmd_register(args) -> int:
     try:
         for entry in entries:
             outcomes.append({"instance": entry.instance, "outcome": directory.register(entry)})
-    except (DirectoryError, ValueError) as err:
+    except (DirectoryError, ValueError, OSError) as err:
         return _fail(str(err))
-    if args.publish:
-        client = _client(args)
-        try:
-            try:
-                client.register_domain(
-                    DomainRecord(domain, args.dns_host, args.dns_port, owner="register")
-                )
-            except ApiError as err:
-                if err.status != 409:
-                    raise
-            accepted = PointerPublisher(directory, client).publish()
-        except (ApiError, EndpointUnreachable) as err:
-            return _fail(str(err))
-        for row in outcomes:
-            row["published"] = True
-        _emit(
-            args,
-            {"domain": domain, "entries": outcomes, "pointers_accepted": accepted},
-            "\n".join(f"{o['outcome']} {o['instance']}" for o in outcomes)
-            + f"\npublished {accepted} pointers for {domain}",
-        )
-    else:
-        _emit(
-            args,
-            {"domain": domain, "entries": outcomes},
-            "\n".join(f"{o['outcome']} {o['instance']}" for o in outcomes),
-        )
+    _emit(
+        args,
+        {"domain": domain, "entries": outcomes},
+        "\n".join(f"{o['outcome']} {o['instance']}" for o in outcomes),
+    )
     return OK
 
 
@@ -342,20 +323,30 @@ def cmd_resolve(args) -> int:
 
 def cmd_compare_frames(args) -> int:
     budget = netsim.FrameBudget(overhead=args.overhead)
+    band = range(netsim.MIN_OVERHEAD, netsim.MAX_OVERHEAD + 1, 5)
     rows = []
     for label, original, optimized in fixtures.frame_comparison_pairs():
         c = netsim.compare(original, optimized, budget)
         report = netsim.simulate_exchange(
             [original, optimized], budget, labels=["original", "optimized"]
         )
+        sizes = [m.nbytes for m in report.messages]
         rows.append(
             {
                 "pair": label,
-                "original_bytes": report.messages[0].nbytes,
-                "optimized_bytes": report.messages[1].nbytes,
+                "original_bytes": sizes[0],
+                "optimized_bytes": sizes[1],
                 "frames_original": c.frames_original,
                 "frames_optimized": c.frames_optimized,
                 "bytes_saved": c.bytes_saved,
+                "band": [
+                    {
+                        "overhead": oh,
+                        "original": netsim.frames_required(sizes[0], netsim.FrameBudget(overhead=oh)),
+                        "optimized": netsim.frames_required(sizes[1], netsim.FrameBudget(overhead=oh)),
+                    }
+                    for oh in band
+                ],
             }
         )
     if args.json:
@@ -369,6 +360,11 @@ def cmd_compare_frames(args) -> int:
             f"{r['original_bytes']:>9}B  {r['optimized_bytes']:>9}B  "
             f"{r['frames_original']:>3} -> {r['frames_optimized']}  {r['bytes_saved']:>5}B"
         )
+    print(f"\nframes per form across the {band[0]}-{band[-1]} byte overhead band")
+    print(f"{'pair':<{width}}  {'form':<9}" + "".join(f"  oh {oh:>2}" for oh in band))
+    for r in rows:
+        for form in ("original", "optimized"):
+            print(f"{r['pair']:<{width}}  {form:<9}" + "".join(f"  {b[form]:>5}" for b in r["band"]))
     return OK
 
 
@@ -413,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("digrectory", help="run a local directory daemon")
     p.add_argument("--domain", required=True)
     p.add_argument("--listen", default="127.0.0.1:5300", help="DNS host:port (port 0 picks one)")
-    p.add_argument("--journal", default=None, help="JSONL journal to replay and append")
+    p.add_argument("--journal", default=None, help="JSONL journal to replay, then follow every interval")
     p.add_argument("--publish", action="store_true", help="register with and publish to the lookup service")
     p.add_argument("--publish-interval", type=float, default=5.0)
     p.set_defaults(func=cmd_digrectory)
@@ -427,10 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="register smart objects from a JSON file")
     p.add_argument("file")
     p.add_argument("--domain", default=None, help="directory domain (defaults to the entries')")
-    p.add_argument("--journal", default=None)
-    p.add_argument("--publish", action="store_true", help="also push pointers to the lookup service")
-    p.add_argument("--dns-host", default="127.0.0.1")
-    p.add_argument("--dns-port", type=int, default=5300)
+    p.add_argument("--journal", default=None, help="directory journal to append to (omit to only validate)")
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("discover", help="find domains by pattern, or run a query file")

@@ -285,7 +285,6 @@ class FilterCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, frozenset[int]] = OrderedDict()
-        self._hits: dict[tuple, int] = {}
         self._generation = 0
         self._lock = threading.RLock()
 
@@ -293,7 +292,6 @@ class FilterCache:
         """Move to a newer generation; whether entries may serve this one."""
         if generation > self._generation:
             self._entries.clear()
-            self._hits.clear()
             self._generation = generation
         return generation == self._generation
 
@@ -302,7 +300,6 @@ class FilterCache:
             if not self._on(generation) or key not in self._entries:
                 return None
             self._entries.move_to_end(key)
-            self._hits[key] = self._hits.get(key, 0) + 1
             return self._entries[key]
 
     def put(self, key: tuple, ids: frozenset[int], generation: int = 0) -> None:
@@ -312,21 +309,7 @@ class FilterCache:
             self._entries[key] = ids
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
-                self._hits.pop(evicted, None)
-
-    def invalidate_fields(self, fields: Iterable[str]) -> int:
-        """Drop every entry whose key touches one of the fields."""
-        targets = set(fields)
-        with self._lock:
-            doomed = [key for key in self._entries if key[1] in targets]
-            for key in doomed:
-                del self._entries[key]
-                self._hits.pop(key, None)
-            return len(doomed)
-
-    def hit_count(self, key: tuple) -> int:
-        return self._hits.get(key, 0)
+                self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -5,6 +5,11 @@ by the mDNS handshake, or from an EPCIS repository, and are answered
 over DNS with optimized replies (answer section only, compressed).  The
 directory keeps a revision counter so the pointer publisher can ship
 deltas to the global lookup service and prune acknowledged tombstones.
+
+With a journal, the journal is the source of truth: a registration or
+withdraw is appended to it and reaches the directory only by reading the
+journal back, so every process that reads the same journal agrees on
+entries and revisions.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +35,7 @@ from .dnscodec import (
 )
 from .lmdns import InstanceRecords
 from .semantics import ServiceMetadata, from_txt, to_txt
-from .webapi import EndpointUnreachable, HttpDigcoveryClient
+from .webapi import HttpDigcoveryClient
 
 
 class DirectoryError(Exception):
@@ -194,14 +200,22 @@ class Digrectory:
         self._entries: dict[str, DirectoryEntry] = {}
         self._tombstones: list[PointerSummary] = []
         self._revision = 0
+        # Held while the entries dict changes and while a reader copies it,
+        # so a DNS thread never iterates a dict another thread is resizing.
+        self._lock = threading.Lock()
         self._journal_path = Path(journal_path) if journal_path else None
-        if self._journal_path and self._journal_path.exists():
-            self._replay_journal()
+        self._journal_offset = 0  # bytes of the journal already applied
+        self._journal_lines = 0  # lines in those bytes, for error positions
+        self.follow_journal()
 
     # -- registration --
 
     def register(self, entry: DirectoryEntry, *, journal: bool = True) -> str:
-        """Admit or refresh an entry; returns created/updated/refreshed."""
+        """Admit or refresh an entry; returns created/updated/refreshed.
+
+        A change to a journaled directory is appended to the journal and
+        applied from there; refreshes are not journaled.
+        """
         if entry.domain.lower() != self.domain.lower():
             raise DomainMismatch(f"{entry.domain!r} registered with the {self.domain!r} directory")
         key = entry.instance.lower()
@@ -210,20 +224,27 @@ class Digrectory:
         if stored is not None and stored.content_key() == entry.content_key():
             stored.last_seen = entry.last_seen
             return "refreshed"
-        self._revision += 1
-        entry.revision = self._revision
-        self._entries[key] = entry
         outcome = "updated" if stored is not None else "created"
-        if journal:
+        if journal and self._journal_path is not None:
             self._append_journal({"op": "register", "entry": entry.to_dict()})
+            return outcome
+        with self._lock:
+            self._revision += 1
+            entry.revision = self._revision
+            self._entries[key] = entry
         return outcome
 
     def withdraw(self, instance: str, *, journal: bool = True) -> DirectoryEntry:
         key = instance.lower()
-        if key not in self._entries:
+        entry = self._entries.get(key)
+        if entry is None:
             raise UnknownInstance(instance)
-        entry = self._entries.pop(key)
-        self._revision += 1
+        if journal and self._journal_path is not None:
+            self._append_journal({"op": "withdraw", "instance": entry.instance})
+            return entry
+        with self._lock:
+            del self._entries[key]
+            self._revision += 1
         for path in entry.ptr_paths:
             self._tombstones.append(
                 PointerSummary(
@@ -236,14 +257,12 @@ class Digrectory:
                     removed=True,
                 )
             )
-        if journal:
-            self._append_journal({"op": "withdraw", "instance": entry.instance})
         return entry
 
     def expire_stale(self, now: Optional[float] = None) -> list[DirectoryEntry]:
         """Drop entries not seen within their ttl; tombstones follow."""
         now = self.clock() if now is None else now
-        stale = [e.instance for e in self._entries.values() if now - e.last_seen > e.ttl]
+        stale = [e.instance for e in self._snapshot() if now - e.last_seen > e.ttl]
         return [self.withdraw(name) for name in stale]
 
     def get(self, instance: str) -> DirectoryEntry:
@@ -253,7 +272,11 @@ class Digrectory:
             raise UnknownInstance(instance) from None
 
     def live_entries(self) -> list[DirectoryEntry]:
-        return sorted(self._entries.values(), key=lambda e: e.instance.lower())
+        return sorted(self._snapshot(), key=lambda e: e.instance.lower())
+
+    def _snapshot(self) -> list[DirectoryEntry]:
+        with self._lock:
+            return list(self._entries.values())
 
     @property
     def revision(self) -> int:
@@ -262,17 +285,29 @@ class Digrectory:
     # -- journal --
 
     def _append_journal(self, op: dict) -> None:
+        with self._journal_path.open("ab") as fh:
+            fh.write(json.dumps(op).encode("utf-8") + b"\n")
+        self.follow_journal()
+
+    def follow_journal(self) -> None:
+        """Apply every complete journal line past the offset, in file order.
+
+        A last line without its newline is still being written and waits
+        for the next call.  A bad line raises `ParseError` with its line
+        number and stays unapplied.
+        """
         if self._journal_path is None:
             return
-        with self._journal_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(op) + "\n")
-
-    def _replay_journal(self) -> None:
-        with self._journal_path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        try:
+            with self._journal_path.open("rb") as fh:
+                fh.seek(self._journal_offset)
+                data = fh.read()
+        except FileNotFoundError:
+            return
+        start = 0
+        while (end := data.find(b"\n", start) + 1) > 0:
+            line = data[start:end].strip()
+            if line:
                 try:
                     op = json.loads(line)
                     if op["op"] == "register":
@@ -281,8 +316,11 @@ class Digrectory:
                         self.withdraw(op["instance"], journal=False)
                     else:
                         raise ValueError(f"unknown op {op['op']!r}")
-                except (KeyError, TypeError, ValueError) as err:
-                    raise ParseError(lineno, str(err)) from None
+                except (AttributeError, KeyError, TypeError, ValueError, DirectoryError) as err:
+                    raise ParseError(self._journal_lines + 1, str(err)) from None
+            self._journal_offset += end - start
+            self._journal_lines += 1
+            start = end
 
     # -- pointers --
 
@@ -326,7 +364,7 @@ class Digrectory:
         return answers
 
     def _entry_for_name(self, qname: DomainName) -> Optional[DirectoryEntry]:
-        for entry in self._entries.values():
+        for entry in self._snapshot():
             if qname == DomainName.from_text(entry.instance_name) or qname == entry.srv.target:
                 return entry
         return None
@@ -370,7 +408,7 @@ def load_entry_file(path: str) -> list[DirectoryEntry]:
     for position, item in enumerate(data, start=1):
         try:
             entries.append(DirectoryEntry.from_dict(item))
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ParseError(position, str(err)) from None
     return entries
 
@@ -399,16 +437,6 @@ class PointerPublisher:
         self.watermark = goal
         self.directory.prune_tombstones(goal)
         return accepted
-
-    def publish_with_retry(self, attempts: int = 3, backoff: float = 0.2) -> int:
-        for attempt in range(attempts):
-            try:
-                return self.publish()
-            except EndpointUnreachable:
-                if attempt == attempts - 1:
-                    raise
-                time.sleep(backoff * (2**attempt))
-        return 0
 
 
 # --- EPCIS bridge ------------------------------------------------------------------

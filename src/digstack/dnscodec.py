@@ -6,10 +6,6 @@ other record type.  Compression follows common resolver behaviour: owner
 names and the rdata names of NS/CNAME/PTR compress against any earlier
 occurrence, SRV targets are written uncompressed (RFC 2782) but still
 enter the compression table so later owner names can point into them.
-
-`measure` computes encoded sizes arithmetically, without building the
-byte string, and is kept as an implementation independent of `encode`
-so the two can be cross-checked.
 """
 
 from __future__ import annotations
@@ -495,39 +491,6 @@ def strip_optional_sections(msg: DnsMessage) -> DnsMessage:
     return replace(msg, authority=(), additional=())
 
 
-def _measure_name(name: DomainName, size: int, offsets: dict, *, compression: bool, compressible: bool) -> int:
-    labels = name.labels
-    for i in range(len(labels)):
-        suffix = tuple(label.lower() for label in labels[i:])
-        if compression and compressible and suffix in offsets:
-            return size + 2
-        if size <= _MAX_POINTER_TARGET and suffix not in offsets:
-            offsets[suffix] = size
-        size += 1 + len(labels[i])
-    return size + 1
-
-
 def measure(msg: DnsMessage, compression: bool = True) -> int:
-    """Encoded size in bytes, computed without materializing the message.
-
-    Mirrors the compression policy of `encode` byte for byte; the codec
-    test suite holds the two implementations to exact agreement.
-    """
-    size = HEADER_LEN
-    offsets: dict[tuple[bytes, ...], int] = {}
-    for q in msg.questions:
-        size = _measure_name(q.name, size, offsets, compression=compression, compressible=True) + 4
-    for rr in msg.records():
-        size = _measure_name(rr.name, size, offsets, compression=compression, compressible=True) + 10
-        if rr.rrtype in _NAME_RDATA_TYPES:
-            size = _measure_name(rr.rdata, size, offsets, compression=compression, compressible=True)
-        elif rr.rrtype == RType.SRV:
-            size = _measure_name(rr.rdata.target, size + 6, offsets, compression=compression, compressible=False)
-        elif rr.rrtype == RType.TXT:
-            for chunk in rr.rdata:
-                if len(chunk) > MAX_TXT_STRING:
-                    raise TxtStringTooLong(f"TXT character-string of {len(chunk)} bytes (limit {MAX_TXT_STRING})")
-                size += 1 + len(chunk)
-        else:
-            size += len(rr.rdata)
-    return size
+    """Encoded size in bytes."""
+    return len(encode(msg, compression))

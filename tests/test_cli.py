@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -49,12 +50,20 @@ def test_compare_frames_reference_numbers(capsys):
     assert (txt["original_bytes"], txt["optimized_bytes"]) == (221, 130)
     assert (txt["frames_original"], txt["frames_optimized"]) == (3, 2)
     assert txt["bytes_saved"] == 91
+    # frames per form across the 26-41 byte overhead band
+    band = [(b["overhead"], b["original"], b["optimized"]) for b in srv["band"]]
+    assert band == [(26, 2, 1), (31, 2, 1), (36, 2, 1), (41, 3, 1)]
+    band = [(b["overhead"], b["original"], b["optimized"]) for b in txt["band"]]
+    assert band == [(26, 3, 2), (31, 3, 2), (36, 3, 2), (41, 3, 2)]
 
 
 def test_compare_frames_text_table(capsys):
     code, out = run_cli(capsys, ["compare-frames"])
     assert code == 0
     assert "srv-lookup" in out and "3 -> 1" in out
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in out.splitlines()[-4:]}
+    assert rows[("srv-lookup", "original")] == ["2", "2", "2", "3"]
+    assert rows[("txt-metadata", "optimized")] == ["2", "2", "2", "2"]
 
 
 def test_expand_txt_round(capsys):
@@ -85,6 +94,8 @@ def test_register_bad_file_exits_one(tmp_path, capsys):
     path.write_text(json.dumps([{"instance": "x"}]))
     assert main(["register", str(path)]) == 1
     path.write_text("not json")
+    assert main(["register", str(path)]) == 1
+    path.write_text("[1]")
     assert main(["register", str(path)]) == 1
     assert main(["register", str(tmp_path / "missing.json")]) == 1
 
@@ -173,33 +184,6 @@ def test_resolve_via_lookup_and_direct(stack, capsys):
     assert code == 2
 
 
-def test_register_with_publish(stack, tmp_path, capsys):
-    url, dns_addr = stack
-    entry = fixtures.light_lab_entry().to_dict()
-    entry["instance"] = "light_cli"
-    entry["ptr_paths"] = ["_lamp._sub._coap._udp"]
-    code, out = run_cli(
-        capsys,
-        [
-            "--json",
-            "--digcovery",
-            url,
-            "register",
-            entry_file(tmp_path, [entry]),
-            "--publish",
-            "--dns-host",
-            dns_addr[0],
-            "--dns-port",
-            str(dns_addr[1]),
-        ],
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["pointers_accepted"] == 1
-    code, out = run_cli(capsys, ["--json", "--digcovery", url, "discover", "*.*"])
-    assert code == 0
-
-
 def test_unreachable_lookup_service_exits_one(capsys):
     code, _ = run_cli(
         capsys,
@@ -236,17 +220,42 @@ def stop(proc) -> None:
         proc.wait(timeout=10)
     except subprocess.TimeoutExpired:
         proc.kill()
+        proc.wait(timeout=10)
+    proc.stdout.close()
+    proc.stderr.close()
+
+
+def run_verb(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "digstack.cli", "--json", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+def until_ok(*argv: str, seconds: float = 15.0) -> subprocess.CompletedProcess:
+    """Run a client verb until it exits 0 or the deadline passes."""
+    deadline = time.monotonic() + seconds
+    result = run_verb(*argv)
+    while result.returncode != 0 and time.monotonic() < deadline:
+        time.sleep(0.2)
+        result = run_verb(*argv)
+    return result
 
 
 def test_daemons_end_to_end(tmp_path):
+    """The README order: lookup daemon, directory daemon, then register."""
     lookup, ready = spawn(["digcovery", "--listen", "127.0.0.1:0", "--dns-listen", "127.0.0.1:0"])
     try:
         url = ready["http"]
         journal = tmp_path / "daemon.journal"
-        seed = Digrectory(fixtures.DOMAIN, journal_path=str(journal))
-        seed.register(fixtures.light_lab_entry())
+        seed = fixtures.light_lab_entry()
+        seed.instance = "thermo_seed"
+        seed.ptr_paths = ("_thermo._sub._coap._udp",)
+        Digrectory(fixtures.DOMAIN, journal_path=str(journal)).register(seed)
 
-        directory_proc, dir_ready = spawn(
+        directory_proc, _ = spawn(
             [
                 "--digcovery",
                 url,
@@ -263,47 +272,63 @@ def test_daemons_end_to_end(tmp_path):
             ]
         )
         try:
-            deadline = 20
-            result = subprocess.run(
-                [sys.executable, "-m", "digstack.cli", "--json", "--digcovery", url, "discover", "_lamp.*"],
-                capture_output=True,
-                text=True,
-                timeout=deadline,
-            )
-            for _ in range(40):
-                if result.returncode == 0:
-                    break
-                time.sleep(0.25)
-                result = subprocess.run(
-                    [sys.executable, "-m", "digstack.cli", "--json", "--digcovery", url, "discover", "_lamp.*"],
-                    capture_output=True,
-                    text=True,
-                    timeout=deadline,
-                )
-            assert result.returncode == 0, result.stderr
-            domains = json.loads(result.stdout)["domains"]
-            assert domains[0]["domain"] == fixtures.DOMAIN
-            dns_hostport = dir_ready["dns"]
+            # the entry replayed at start-up is published and resolvable
+            found = until_ok("--digcovery", url, "discover", "_thermo.*")
+            assert found.returncode == 0, found.stderr
+            resolved = run_verb("--digcovery", url, "resolve", "thermo_seed", fixtures.DOMAIN)
+            assert resolved.returncode == 0, resolved.stderr
 
-            resolved = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "digstack.cli",
-                    "--json",
-                    "resolve",
-                    "light_lab",
-                    fixtures.DOMAIN,
-                    "--dns",
-                    dns_hostport,
-                ],
-                capture_output=True,
-                text=True,
-                timeout=deadline,
-            )
+            # register only appends; the running daemon picks the entry up
+            registered = run_verb("register", entry_file(tmp_path), "--journal", str(journal))
+            assert registered.returncode == 0, registered.stderr
+            report = json.loads(registered.stdout)
+            assert report["entries"] == [{"instance": "light_lab", "outcome": "created"}]
+
+            found = until_ok("--digcovery", url, "discover", "_lamp.*")
+            assert found.returncode == 0, found.stderr
+            assert json.loads(found.stdout)["domains"][0]["domain"] == fixtures.DOMAIN
+            resolved = run_verb("--digcovery", url, "resolve", "light_lab", fixtures.DOMAIN)
             assert resolved.returncode == 0, resolved.stderr
             assert json.loads(resolved.stdout)["port"] == 1234
         finally:
             stop(directory_proc)
     finally:
         stop(lookup)
+
+
+def test_daemon_exits_one_on_a_bad_journal_line(tmp_path):
+    journal = tmp_path / "daemon.journal"
+    journal.write_text("")
+    proc, _ = spawn(
+        [
+            "digrectory",
+            "--domain",
+            fixtures.DOMAIN,
+            "--listen",
+            "127.0.0.1:0",
+            "--journal",
+            str(journal),
+            "--publish-interval",
+            "0.1",
+        ]
+    )
+    try:
+        with journal.open("a") as fh:
+            fh.write('{"op": "register", "entry": {"instance": "x"}}\n')
+        assert proc.wait(timeout=15) == 1
+        err = proc.stderr.read()
+        assert "entry 1" in err and "Traceback" not in err
+    finally:
+        stop(proc)
+
+
+def test_demo_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_demo.py")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert result.returncode == 0, result.stderr

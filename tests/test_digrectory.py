@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import sys
+import threading
 
 import pytest
 
@@ -182,12 +184,107 @@ def test_journal_replay_restores_state(tmp_path):
     assert reborn.answer(query(fixtures.INSTANCE_NAME, RType.SRV)).header.rcode == 3
 
 
+def light(instance: str) -> DirectoryEntry:
+    entry = fixtures.light_lab_entry()
+    entry.instance = instance
+    entry.ptr_paths = (fixtures.SERVICE_PATH,)
+    return entry
+
+
+def journal_state(d: Digrectory) -> tuple:
+    entries = [(e.instance, e.revision, e.content_key()) for e in d.live_entries()]
+    tombs = [(t.instance, t.service_path, t.revision) for t in d.pending_tombstones()]
+    return entries, tombs, d.revision
+
+
+def test_follower_matches_a_fresh_replay(tmp_path):
+    path = tmp_path / "directory.journal"
+    clock = FakeClock()
+    follower = Digrectory(fixtures.DOMAIN, clock=clock, journal_path=str(path))
+    writer = Digrectory(fixtures.DOMAIN, clock=FakeClock(), journal_path=str(path))
+    assert writer.register(fixtures.light_lab_entry()) == "created"
+    assert writer.register(light("light_two")) == "created"
+    moved = fixtures.light_lab_entry()
+    moved.geo = GeoPoint(38.0, -1.15)
+    assert writer.register(moved) == "updated"
+    writer.withdraw("light_two")
+    assert writer.register(light("light_three")) == "created"
+
+    follower.follow_journal()
+    fresh = Digrectory(fixtures.DOMAIN, journal_path=str(path))
+    assert journal_state(follower) == journal_state(fresh) == journal_state(writer)
+    assert [e.instance for e in follower.live_entries()] == ["light_lab", "light_three"]
+    assert follower.revision == 5
+
+    # a last line still being written waits for its newline
+    line = json.dumps({"op": "register", "entry": light("light_four").to_dict()})
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(line[:40])
+    follower.follow_journal()
+    assert follower.revision == 5
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(line[40:] + "\n")
+    follower.follow_journal()
+    assert follower.get("light_four").revision == 6
+
+    # the follower's own expiry withdraws are applied once, in journal order
+    clock.now += fixtures.light_lab_entry().ttl + 1
+    assert len(follower.expire_stale()) == 3
+    follower.follow_journal()
+    assert follower.live_entries() == [] and follower.revision == 9
+    fresh = Digrectory(fixtures.DOMAIN, journal_path=str(path))
+    assert journal_state(follower) == journal_state(fresh)
+
+    # a bad complete line is reported with its line number, not applied
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"op": "withdraw", "instance": "ghost"}\n')
+    with pytest.raises(ParseError) as err:
+        follower.follow_journal()
+    assert err.value.position == 10
+    assert follower.revision == 9
+
+
+def test_answers_stay_whole_while_entries_change():
+    d = Digrectory(fixtures.DOMAIN)
+    for i in range(1000):
+        d.register(light(f"light_{i:04d}"))
+    name = f"light_0999.{fixtures.DOMAIN}"
+    stop, failures, answered = threading.Event(), [], []
+
+    def ask():
+        while not stop.is_set():
+            try:
+                reply = d.answer(query(name, RType.SRV))
+                answered.append(reply.header.rcode == 0 and len(reply.answers) == 1)
+            except Exception as err:  # noqa: BLE001 - any raise is the failure under test
+                failures.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    asker = threading.Thread(target=ask, daemon=True)
+    asker.start()
+    try:
+        for i in range(1000, 4000):
+            d.register(light(f"light_{i:04d}"))
+    finally:
+        stop.set()
+        asker.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not asker.is_alive()
+    assert failures == []
+    assert answered and all(answered)
+
+
 def test_journal_parse_error_carries_line(tmp_path):
     path = tmp_path / "directory.journal"
     path.write_text('{"op": "register", "entry": {"instance": "x"}}\n')
     with pytest.raises(ParseError) as err:
         Digrectory(fixtures.DOMAIN, journal_path=str(path))
     assert err.value.position == 1
+    path.write_text('\n{"op": "register", "entry": []}\n')
+    with pytest.raises(ParseError) as err:
+        Digrectory(fixtures.DOMAIN, journal_path=str(path))
+    assert err.value.position == 2
 
 
 def test_load_entry_file(tmp_path):
@@ -259,10 +356,10 @@ def test_publisher_keeps_state_when_unreachable(lookup_service):
     d = make_directory()
     publisher = PointerPublisher(d, HttpDigcoveryClient("http://127.0.0.1:1", timeout=0.3))
     with pytest.raises(EndpointUnreachable):
-        publisher.publish_with_retry(attempts=2, backoff=0.01)
+        publisher.publish()
     assert publisher.watermark == 0 and len(publisher.pending()) == 5
     publisher.client = client
-    assert publisher.publish_with_retry() == 5
+    assert publisher.publish() == 5
     assert len(core.execute(Term("rt", "light"))) == 5
 
 

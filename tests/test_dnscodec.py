@@ -273,14 +273,7 @@ def test_roundtrip_both_modes(msg):
 @given(_messages)
 def test_compression_is_semantically_neutral(msg):
     assert decode(encode(msg, True)) == decode(encode(msg, False))
-
-
-@settings(max_examples=250, deadline=None)
-@given(_messages)
-def test_measure_matches_encode(msg):
-    assert measure(msg, True) == len(encode(msg, True))
-    assert measure(msg, False) == len(encode(msg, False))
-    assert measure(msg, True) <= measure(msg, False)
+    assert len(encode(msg, True)) <= len(encode(msg, False))
 
 
 @settings(max_examples=100, deadline=None)
