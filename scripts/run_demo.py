@@ -10,52 +10,15 @@ Everything runs in this process on 127.0.0.1; no hardware or network needed.
 from __future__ import annotations
 
 import ipaddress
-import random
-import socket
-import time
 
 from digstack import fixtures, netsim
 from digstack.digcovery import Digcovery, DomainRecord, GeoPoint
 from digstack.digrectory import DirectoryEntry, Digrectory, PointerPublisher
-from digstack.dnscodec import (
-    CodecError,
-    DnsHeader,
-    DnsMessage,
-    DomainName,
-    Question,
-    RType,
-    SrvData,
-    decode,
-    encode,
-)
+from digstack.dnscodec import DomainName, RType, SrvData
 from digstack.dnsserver import UdpDnsServer
+from digstack.lmdns import UdpTransport, ask
 from digstack.semantics import ServiceMetadata, from_txt
 from digstack.webapi import DigcoveryHttpServer, HttpDigcoveryClient, dns_front_answer
-
-
-def dns_ask(addr: tuple[str, int], name: str, rrtype: RType) -> DnsMessage | None:
-    """One UDP question against a directory endpoint; None on timeout."""
-    qid = random.randrange(0x10000)
-    query = DnsMessage(
-        header=DnsHeader(id=qid, rd=1),
-        questions=(Question(DomainName.from_text(name), rrtype),),
-    )
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(2.0)
-        sock.sendto(encode(query), addr)
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline:
-            try:
-                data = sock.recvfrom(65535)[0]
-            except socket.timeout:
-                return None
-            try:
-                reply = decode(data)
-            except CodecError:
-                continue
-            if reply.header.id == qid and reply.header.qr:
-                return reply
-    return None
 
 
 def greenhouse_entries(domain: str) -> list[DirectoryEntry]:
@@ -99,6 +62,7 @@ def main() -> None:
 
     servers: list[UdpDnsServer] = []
     client = HttpDigcoveryClient(api.url)
+    transport = UdpTransport(("127.0.0.1", 0))
     try:
         for directory in (lab, house):
             server = UdpDnsServer(directory.answer, "127.0.0.1", 0)
@@ -118,7 +82,7 @@ def main() -> None:
         for pattern in ("*.*", "_lamp.*", "_gas.*"):
             domains = [hit["domain"] for hit in client.discover(pattern)]
             print(f"discover {pattern:<12} -> {', '.join(domains) or '(nothing)'}")
-        reply = dns_ask(front.address, "_lamp.*", RType.PTR)
+        reply = ask(transport, front.address, "_lamp.*", RType.PTR, 2.0)
         ptr_domains = sorted(str(rr.rdata) for rr in reply.answers)
         print(f"dns ptr  _lamp.*      -> {', '.join(ptr_domains)}")
 
@@ -133,9 +97,9 @@ def main() -> None:
         endpoint = next(d for d in client.discover("_lamp.*") if d["domain"] == hit["domain"])
         addr = (endpoint["host"], endpoint["dns_port"])
         name = f"{hit['instance']}.{hit['domain']}"
-        srv = dns_ask(addr, name, RType.SRV).answers[0].rdata
-        txt = dns_ask(addr, name, RType.TXT).answers[0].rdata
-        aaaa = dns_ask(addr, str(srv.target), RType.AAAA).answers[0].rdata
+        srv = ask(transport, addr, name, RType.SRV, 2.0).answers[0].rdata
+        txt = ask(transport, addr, name, RType.TXT, 2.0).answers[0].rdata
+        aaaa = ask(transport, addr, srv.target, RType.AAAA, 2.0).answers[0].rdata
         meta = from_txt([chunk.decode() for chunk in txt])
         print(f"resolve {name}")
         print(f"  host {srv.target} port {srv.port} addr {ipaddress.IPv6Address(aaaa)}")
@@ -145,12 +109,13 @@ def main() -> None:
         print()
         print(f"frame budget: {netsim.FRAME_SIZE}-byte frames, {netsim.FrameBudget().overhead}-byte overhead")
         for label, original, optimized in fixtures.frame_comparison_pairs():
-            c = netsim.compare(original, optimized)
+            orig, opt = netsim.simulate_exchange([original, optimized]).messages
             print(
-                f"  {label:<10} {c.frames_original} frame(s) -> {c.frames_optimized},"
-                f" {c.bytes_saved} bytes saved"
+                f"  {label:<10} {orig.frames} frame(s) -> {opt.frames},"
+                f" {orig.nbytes - opt.nbytes} bytes saved"
             )
     finally:
+        transport.close()
         for server in servers:
             server.stop()
         front.stop()

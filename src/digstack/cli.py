@@ -10,12 +10,10 @@ import argparse
 import ipaddress
 import json
 import os
-import random
 import signal
-import socket
 import sys
 import threading
-import time
+from pathlib import Path
 
 from . import fixtures, netsim
 from .digcovery import Digcovery, DomainRecord, MalformedPattern, MalformedQuery, parse_query
@@ -26,8 +24,9 @@ from .digrectory import (
     PointerPublisher,
     load_entry_file,
 )
-from .dnscodec import CodecError, DnsHeader, DnsMessage, DomainName, Question, RType, decode, encode
+from .dnscodec import RType
 from .dnsserver import UdpDnsServer
+from .lmdns import UdpTransport, ask
 from .semantics import SemanticsError, expand_txt, to_txt
 from .webapi import (
     ApiError,
@@ -61,38 +60,6 @@ def _hostport(text: str, default_port: int) -> tuple[str, int]:
 
 def _client(args) -> HttpDigcoveryClient:
     return HttpDigcoveryClient(args.digcovery, timeout=args.timeout)
-
-
-def _dns_query(
-    host: str, port: int, name: str, rrtype: RType, timeout: float = 2.0
-) -> DnsMessage | None:
-    """One UDP question; None on timeout or garbage."""
-    qid = random.randrange(0x10000)
-    query = DnsMessage(
-        header=DnsHeader(id=qid, rd=1),
-        questions=(Question(DomainName.from_text(name), rrtype),),
-    )
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.settimeout(timeout)
-    try:
-        sock.sendto(encode(query), (host, port))
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            try:
-                data = sock.recvfrom(65535)[0]
-            except socket.timeout:
-                return None
-            try:
-                reply = decode(data)
-            except CodecError:
-                continue
-            if reply.header.id == qid and reply.header.qr:
-                return reply
-        return None
-    except OSError:
-        return None
-    finally:
-        sock.close()
 
 
 def _wait_for_stop() -> None:
@@ -166,7 +133,7 @@ def cmd_digcovery(args) -> int:
     core = Digcovery()
     if args.config:
         try:
-            config = json.loads(open(args.config, encoding="utf-8").read())
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
             for item in config.get("domains", ()):
                 core.register_domain(
                     DomainRecord(
@@ -181,7 +148,7 @@ def cmd_digcovery(args) -> int:
             return _fail(f"config: {err}")
     http_host, http_port = _hostport(args.listen, 8460)
     http = DigcoveryHttpServer(core, host=http_host, port=http_port).start()
-    dns_host, dns_port = _hostport(args.dns_listen, 5353)
+    dns_host, dns_port = _hostport(args.dns_listen, 5453)
     dns = UdpDnsServer(lambda q: dns_front_answer(core, q), host=dns_host, port=dns_port).start()
 
     _emit(
@@ -238,7 +205,7 @@ def cmd_discover(args) -> int:
     try:
         if args.query:
             try:
-                body = json.loads(open(args.query, encoding="utf-8").read())
+                body = json.loads(Path(args.query).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as err:
                 return _fail(f"query file: {err}")
             try:
@@ -284,28 +251,34 @@ def cmd_resolve(args) -> int:
         host, port = match[0]["host"], match[0]["dns_port"]
 
     name = f"{args.instance}.{args.domain}"
-    srv_reply = _dns_query(host, port, name, RType.SRV, args.timeout)
-    if srv_reply is None:
+    transport = UdpTransport()
+    try:
+        srv_reply = ask(transport, (host, port), name, RType.SRV, args.timeout)
+        if srv_reply is None:
+            return _fail(f"no answer from {host}:{port}")
+        if srv_reply.header.rcode != 0 or not srv_reply.answers:
+            print(f"digstack: {name} not found", file=sys.stderr)
+            return NOT_FOUND
+        srv = srv_reply.answers[0].rdata
+        target = str(srv.target)
+
+        txt_reply = ask(transport, (host, port), name, RType.TXT, args.timeout)
+        txt = ()
+        if txt_reply and txt_reply.answers:
+            txt = tuple(chunk.decode("utf-8", "replace") for chunk in txt_reply.answers[0].rdata)
+
+        addrs = []
+        for rrtype in (RType.AAAA, RType.A):
+            reply = ask(transport, (host, port), target, rrtype, args.timeout)
+            if reply and reply.answers:
+                packed = reply.answers[0].rdata
+                addrs.append(
+                    str(ipaddress.IPv6Address(packed) if rrtype == RType.AAAA else ipaddress.IPv4Address(packed))
+                )
+    except OSError:
         return _fail(f"no answer from {host}:{port}")
-    if srv_reply.header.rcode != 0 or not srv_reply.answers:
-        print(f"digstack: {name} not found", file=sys.stderr)
-        return NOT_FOUND
-    srv = srv_reply.answers[0].rdata
-    target = str(srv.target)
-
-    txt_reply = _dns_query(host, port, name, RType.TXT, args.timeout)
-    txt = ()
-    if txt_reply and txt_reply.answers:
-        txt = tuple(chunk.decode("utf-8", "replace") for chunk in txt_reply.answers[0].rdata)
-
-    addrs = []
-    for rrtype in (RType.AAAA, RType.A):
-        reply = _dns_query(host, port, target, rrtype, args.timeout)
-        if reply and reply.answers:
-            packed = reply.answers[0].rdata
-            addrs.append(
-                str(ipaddress.IPv6Address(packed) if rrtype == RType.AAAA else ipaddress.IPv4Address(packed))
-            )
+    finally:
+        transport.close()
 
     _emit(
         args,
@@ -326,24 +299,20 @@ def cmd_compare_frames(args) -> int:
     band = range(netsim.MIN_OVERHEAD, netsim.MAX_OVERHEAD + 1, 5)
     rows = []
     for label, original, optimized in fixtures.frame_comparison_pairs():
-        c = netsim.compare(original, optimized, budget)
-        report = netsim.simulate_exchange(
-            [original, optimized], budget, labels=["original", "optimized"]
-        )
-        sizes = [m.nbytes for m in report.messages]
+        orig, opt = netsim.simulate_exchange([original, optimized], budget).messages
         rows.append(
             {
                 "pair": label,
-                "original_bytes": sizes[0],
-                "optimized_bytes": sizes[1],
-                "frames_original": c.frames_original,
-                "frames_optimized": c.frames_optimized,
-                "bytes_saved": c.bytes_saved,
+                "original_bytes": orig.nbytes,
+                "optimized_bytes": opt.nbytes,
+                "frames_original": orig.frames,
+                "frames_optimized": opt.frames,
+                "bytes_saved": orig.nbytes - opt.nbytes,
                 "band": [
                     {
                         "overhead": oh,
-                        "original": netsim.frames_required(sizes[0], netsim.FrameBudget(overhead=oh)),
-                        "optimized": netsim.frames_required(sizes[1], netsim.FrameBudget(overhead=oh)),
+                        "original": netsim.frames_required(orig.nbytes, netsim.FrameBudget(overhead=oh)),
+                        "optimized": netsim.frames_required(opt.nbytes, netsim.FrameBudget(overhead=oh)),
                     }
                     for oh in band
                 ],

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -206,6 +207,7 @@ class Digrectory:
         self._journal_path = Path(journal_path) if journal_path else None
         self._journal_offset = 0  # bytes of the journal already applied
         self._journal_lines = 0  # lines in those bytes, for error positions
+        self._journal_inode: Optional[int] = None  # which file the offset is into
         self.follow_journal()
 
     # -- registration --
@@ -213,8 +215,9 @@ class Digrectory:
     def register(self, entry: DirectoryEntry, *, journal: bool = True) -> str:
         """Admit or refresh an entry; returns created/updated/refreshed.
 
-        A change to a journaled directory is appended to the journal and
-        applied from there; refreshes are not journaled.
+        On a journaled directory every registration, a refresh included, is
+        appended to the journal and applied from there, so every reader of
+        the journal sees the refresh too.  A refresh leaves the revision alone.
         """
         if entry.domain.lower() != self.domain.lower():
             raise DomainMismatch(f"{entry.domain!r} registered with the {self.domain!r} directory")
@@ -222,11 +225,14 @@ class Digrectory:
         stored = self._entries.get(key)
         entry.last_seen = self.clock()
         if stored is not None and stored.content_key() == entry.content_key():
-            stored.last_seen = entry.last_seen
-            return "refreshed"
-        outcome = "updated" if stored is not None else "created"
+            outcome = "refreshed"
+        else:
+            outcome = "updated" if stored is not None else "created"
         if journal and self._journal_path is not None:
             self._append_journal({"op": "register", "entry": entry.to_dict()})
+            return outcome
+        if outcome == "refreshed":
+            stored.last_seen = entry.last_seen
             return outcome
         with self._lock:
             self._revision += 1
@@ -294,12 +300,18 @@ class Digrectory:
 
         A last line without its newline is still being written and waits
         for the next call.  A bad line raises `ParseError` with its line
-        number and stays unapplied.
+        number and stays unapplied.  A journal that was emptied, cut short
+        or replaced by another file (log rotation) is read again from its
+        start; the entries already held stay.
         """
         if self._journal_path is None:
             return
         try:
             with self._journal_path.open("rb") as fh:
+                stat = os.fstat(fh.fileno())
+                if stat.st_ino != self._journal_inode or stat.st_size < self._journal_offset:
+                    self._journal_inode = stat.st_ino
+                    self._journal_offset = self._journal_lines = 0
                 fh.seek(self._journal_offset)
                 data = fh.read()
         except FileNotFoundError:

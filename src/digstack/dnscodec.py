@@ -105,9 +105,6 @@ class DomainName:
         n = len(suffix.labels)
         return n <= len(self.labels) and self.key()[len(self.labels) - n:] == suffix.key()
 
-    def prepend(self, *labels: str) -> DomainName:
-        return DomainName(tuple(part.encode("utf-8") for part in labels) + self.labels)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DomainName):
             return self.key() == other.key()
@@ -226,10 +223,6 @@ class DnsHeader:
         )
 
 
-def _section(records: Iterable) -> tuple:
-    return tuple(records)
-
-
 @dataclass(frozen=True)
 class DnsMessage:
     header: DnsHeader = field(default_factory=DnsHeader)
@@ -243,7 +236,7 @@ class DnsMessage:
         for name in ("questions", "answers", "authority", "additional"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
-                object.__setattr__(self, name, _section(value))
+                object.__setattr__(self, name, tuple(value))
 
     # Section counts are derived, never stored, so they cannot disagree
     # with the actual sections.
@@ -482,6 +475,41 @@ def decode(data: bytes) -> DnsMessage:
     authority = read_records(nscount)
     additional = read_records(arcount)
     return DnsMessage(header, tuple(questions), answers, authority, additional)
+
+
+def _skip_name(wire: bytes, pos: int) -> int:
+    while wire[pos] and not wire[pos] & _POINTER_MASK:
+        pos += 1 + wire[pos]
+    return pos + (2 if wire[pos] else 1)
+
+
+def truncate(wire: bytes, limit: int) -> bytes:
+    """Cut an encoded message to at most `limit` bytes (RFC 1035 §4.2.1).
+
+    A message that fits comes back unchanged.  Otherwise the wire is cut
+    after the last whole question or record that fits, the section counts
+    are fixed and TC is set.  Cutting at a record boundary keeps every
+    compression pointer valid, because pointers only point backward.
+    `wire` must be a well-formed message, as `encode` writes it.
+    """
+    if len(wire) <= limit:
+        return wire
+    kept = [0, 0, 0, 0]
+    pos = end = HEADER_LEN
+    for section, count in enumerate(struct.unpack_from("!4H", wire, 4)):
+        for _ in range(count):
+            pos = _skip_name(wire, pos)
+            pos += 4 if section == 0 else 10 + struct.unpack_from("!H", wire, pos + 8)[0]
+            if pos > limit:
+                break
+            end = pos
+            kept[section] += 1
+        if pos > limit:
+            break
+    out = bytearray(wire[:end])
+    out[2] |= 0x02  # TC
+    struct.pack_into("!4H", out, 4, *kept)
+    return bytes(out)
 
 
 def strip_optional_sections(msg: DnsMessage) -> DnsMessage:

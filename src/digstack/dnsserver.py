@@ -1,23 +1,29 @@
-"""Threaded UDP DNS server shell shared by the directory and lookup frontends."""
+"""Threaded UDP DNS server shell shared by the directory, the lookup
+frontend and smart objects on real sockets."""
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
-from dataclasses import replace
 from typing import Callable, Optional
 
-from .dnscodec import CodecError, DnsMessage, decode, encode
+from .dnscodec import CodecError, DnsMessage, decode, encode, response_for, truncate
 
 UDP_PAYLOAD_LIMIT = 512
+SERVFAIL = 2
+
+log = logging.getLogger(__name__)
 
 
 class UdpDnsServer:
     """Decode, hand to the answer function, encode, reply.
 
     Undecodable datagrams and None answers are dropped silently, as a
-    resolver would.  Replies beyond the classic UDP payload limit go out
-    with the truncation bit set so the caller knows to narrow the query.
+    resolver would.  An answer function that raises gets SERVFAIL sent
+    back.  Replies beyond the classic UDP payload limit are cut to the
+    whole records that fit, with the truncation bit set so the caller
+    knows to narrow the query.
     """
 
     def __init__(
@@ -50,21 +56,29 @@ class UdpDnsServer:
             except socket.timeout:
                 continue
             except OSError:
-                break
-            try:
-                query = decode(data)
-            except CodecError:
+                break  # the socket was closed by stop()
+            wire = self._reply(data)
+            if wire is None:
                 continue
             try:
-                reply = self._answer(query)
-            except Exception:
-                continue
+                self._sock.sendto(wire, peer)
+            except OSError:
+                log.warning("reply to %s not sent", peer, exc_info=True)
+
+    def _reply(self, data: bytes) -> bytes | None:
+        try:
+            query = decode(data)
+        except CodecError:
+            return None
+        try:
+            reply = self._answer(query)
             if reply is None:
-                continue
+                return None
             wire = encode(reply)
-            if len(wire) > UDP_PAYLOAD_LIMIT:
-                wire = encode(replace(reply, header=replace(reply.header, tc=1)))
-            self._sock.sendto(wire, peer)
+        except Exception:
+            log.exception("answer to query %d failed", query.header.id)
+            wire = encode(response_for(query, (), rcode=SERVFAIL))
+        return truncate(wire, UDP_PAYLOAD_LIMIT)
 
     def stop(self) -> None:
         self._stop.set()

@@ -10,12 +10,12 @@ instead of letting them linger.
 
 from __future__ import annotations
 
-import itertools
+import random
 import socket
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .dnscodec import (
     CodecError,
@@ -35,8 +35,6 @@ from .semantics import ServiceMetadata, from_txt, to_txt
 MDNS_GROUP = "224.0.0.251"
 MDNS_PORT = 5353
 
-_query_ids = itertools.count(0x1000)
-
 
 class LmdnsError(Exception):
     pass
@@ -52,8 +50,8 @@ class HandshakeTimeout(LmdnsError):
 
 
 class Transport(Protocol):
-    """What probe/handshake need from a transport; both the simulated
-    link endpoint and the UDP transport satisfy it."""
+    """What probe, ask and the handshake need from a transport; both the
+    simulated link endpoint and the UDP transport satisfy it."""
 
     multicast_address: object
 
@@ -161,31 +159,37 @@ class SmartObjectAgent:
             self.endpoint.send(src, encode(reply))
 
 
-def serve_udp(profile: SmartObjectProfile, transport: Transport, should_stop: Callable[[], bool]) -> None:
-    """Blocking answer loop for real-socket deployments."""
-    while not should_stop():
-        for payload, src in transport.poll(0.1):
-            try:
-                query = decode(payload)
-            except CodecError:
-                continue
-            reply = answer_query(profile, query)
-            if reply is not None:
-                transport.send(src, encode(reply))
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     instance: str
     responder: object
 
 
-def ptr_question(service_path: str, msg_id: int | None = None) -> DnsMessage:
-    qid = next(_query_ids) & 0xFFFF if msg_id is None else msg_id
-    return DnsMessage(
-        header=DnsHeader(id=qid),
-        questions=(Question(DomainName.from_text(service_path), RType.PTR),),
+def _exchange(
+    transport: Transport, dst, name: str | DomainName, rrtype: int, window: float
+) -> Iterator[tuple[DnsMessage, object]]:
+    """Send `dst` one question under a fresh random id, then yield each
+    decoded reply carrying that id, with its source, until the window ends."""
+    query = DnsMessage(
+        header=DnsHeader(id=random.randrange(0x10000)),
+        questions=(Question(DomainName.from_text(name), rrtype),),
     )
+    transport.send(dst, encode(query))
+    deadline = time.monotonic() + window
+    while True:
+        remaining = deadline - time.monotonic()
+        batch = transport.poll(max(0.0, remaining))
+        if not batch:
+            return
+        for payload, src in batch:
+            try:
+                reply = decode(payload)
+            except CodecError:
+                continue
+            if reply.header.qr and reply.header.id == query.header.id:
+                yield reply, src
+        if remaining <= 0:
+            return
 
 
 def probe(transport: Transport, service_path: str, window: float = 1.0) -> list[ProbeResult]:
@@ -194,29 +198,18 @@ def probe(transport: Transport, service_path: str, window: float = 1.0) -> list[
     Duplicate announcements for the same instance are collapsed onto the
     first responder seen.
     """
-    query = ptr_question(service_path)
-    transport.send(transport.multicast_address, encode(query))
     found: dict[str, ProbeResult] = {}
-    deadline = time.monotonic() + window
-    while True:
-        remaining = deadline - time.monotonic()
-        batch = transport.poll(max(0.0, remaining))
-        if not batch:
-            break
-        for payload, src in batch:
-            try:
-                reply = decode(payload)
-            except CodecError:
-                continue
-            if not reply.header.qr or reply.header.id != query.header.id:
-                continue
-            for rr in reply.answers:
-                if rr.rrtype == RType.PTR:
-                    instance = str(rr.rdata).lower()
-                    found.setdefault(instance, ProbeResult(instance, src))
-        if remaining <= 0:
-            break
+    for reply, src in _exchange(transport, transport.multicast_address, service_path, RType.PTR, window):
+        for rr in reply.answers:
+            if rr.rrtype == RType.PTR:
+                instance = str(rr.rdata).lower()
+                found.setdefault(instance, ProbeResult(instance, src))
     return list(found.values())
+
+
+def ask(transport: Transport, dst, name: str | DomainName, rrtype: int, window: float = 1.0) -> DnsMessage | None:
+    """Ask `dst` one question; the first reply to it, or None on silence."""
+    return next((reply for reply, _src in _exchange(transport, dst, name, rrtype, window)), None)
 
 
 @dataclass(frozen=True)
@@ -230,26 +223,9 @@ class InstanceRecords:
     addr4: bytes | None = None
 
 
-def _ask(transport: Transport, responder, name: DomainName, rrtype: int, window: float) -> ResourceRecord | None:
-    query = DnsMessage(header=DnsHeader(id=next(_query_ids) & 0xFFFF), questions=(Question(name, rrtype),))
-    transport.send(responder, encode(query))
-    deadline = time.monotonic() + window
-    while True:
-        remaining = deadline - time.monotonic()
-        batch = transport.poll(max(0.0, remaining))
-        if not batch:
-            return None
-        for payload, _src in batch:
-            try:
-                reply = decode(payload)
-            except CodecError:
-                continue
-            if reply.header.qr and reply.header.id == query.header.id:
-                for rr in reply.answers:
-                    if rr.rrtype == rrtype:
-                        return rr
-        if remaining <= 0:
-            return None
+def _record(transport: Transport, responder, name: DomainName, rrtype: int, window: float) -> ResourceRecord | None:
+    reply = ask(transport, responder, name, rrtype, window)
+    return next((rr for rr in reply.answers if rr.rrtype == rrtype), None) if reply is not None else None
 
 
 def registration_handshake(
@@ -269,11 +245,11 @@ def registration_handshake(
     if instance in {k.lower() for k in known}:
         return None
     name = DomainName.from_text(instance)
-    srv_rr = _ask(transport, discovered.responder, name, RType.SRV, window)
-    txt_rr = _ask(transport, discovered.responder, name, RType.TXT, window)
+    srv_rr = _record(transport, discovered.responder, name, RType.SRV, window)
+    txt_rr = _record(transport, discovered.responder, name, RType.TXT, window)
     aaaa_owner = srv_rr.rdata.target if srv_rr is not None else name
-    aaaa_rr = _ask(transport, discovered.responder, aaaa_owner, RType.AAAA, window)
-    a_rr = _ask(transport, discovered.responder, aaaa_owner, RType.A, window) if want_a else None
+    aaaa_rr = _record(transport, discovered.responder, aaaa_owner, RType.AAAA, window)
+    a_rr = _record(transport, discovered.responder, aaaa_owner, RType.A, window) if want_a else None
     missing = [label for label, rr in (("SRV", srv_rr), ("TXT", txt_rr), ("AAAA", aaaa_rr)) if rr is None]
     if want_a and a_rr is None:
         missing.append("A")
@@ -354,48 +330,33 @@ def refresh(
 
 
 class UdpTransport:
-    """Datagram transport over real sockets with the probe/poll contract.
+    """Datagram transport over a real socket with the probe/poll contract.
 
-    Multicast membership is optional so the same class serves plain
-    loopback tests and actual mDNS segments.
+    Probes go to the mDNS group address; a caller on plain loopback points
+    `multicast_address` at the responder instead.
     """
 
-    def __init__(
-        self,
-        bind: tuple[str, int] = ("0.0.0.0", 0),
-        *,
-        multicast_group: tuple[str, int] = (MDNS_GROUP, MDNS_PORT),
-        join_multicast: bool = False,
-    ) -> None:
-        self.multicast_address = multicast_group
+    def __init__(self, bind: tuple[str, int] = ("0.0.0.0", 0)) -> None:
+        self.multicast_address = (MDNS_GROUP, MDNS_PORT)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind(bind)
-        if join_multicast:
-            membership = socket.inet_aton(multicast_group[0]) + socket.inet_aton("0.0.0.0")
-            self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_ADD_MEMBERSHIP, membership)
         self.address = self._sock.getsockname()
 
     def send(self, dst, payload: bytes) -> None:
         self._sock.sendto(payload, tuple(dst))
 
     def poll(self, timeout: float | None = None) -> list[tuple[bytes, object]]:
+        """Wait up to `timeout` for a datagram, then take whatever else is
+        already queued without waiting again."""
         batch: list[tuple[bytes, object]] = []
-        self._sock.settimeout(timeout if timeout and timeout > 0 else 0.001)
-        try:
-            payload, src = self._sock.recvfrom(4096)
-            batch.append((payload, src))
-        except (socket.timeout, BlockingIOError):
-            return batch
-        # Drain whatever else is already queued without waiting again.
-        self._sock.settimeout(0.001)
+        self._sock.settimeout(timeout if timeout and timeout > 0 else 0.0)
         while True:
             try:
-                payload, src = self._sock.recvfrom(4096)
-                batch.append((payload, src))
+                batch.append(self._sock.recvfrom(65535))
             except (socket.timeout, BlockingIOError):
-                break
-        return batch
+                return batch
+            self._sock.setblocking(False)
 
     def close(self) -> None:
         self._sock.close()

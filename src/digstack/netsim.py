@@ -98,28 +98,6 @@ def simulate_exchange(
     return TransmissionReport(tuple(costs), budget)
 
 
-@dataclass(frozen=True)
-class FrameComparison:
-    frames_original: int
-    frames_optimized: int
-    bytes_saved: int
-
-
-def compare(
-    original: DnsMessage | bytes,
-    optimized: DnsMessage | bytes,
-    budget: FrameBudget = FrameBudget(),
-) -> FrameComparison:
-    """Frame counts for the two forms of one exchange, plus bytes saved."""
-    size = lambda m: len(m) if isinstance(m, (bytes, bytearray)) else measure(m)
-    original_bytes, optimized_bytes = size(original), size(optimized)
-    return FrameComparison(
-        frames_original=frames_required(original_bytes, budget),
-        frames_optimized=frames_required(optimized_bytes, budget),
-        bytes_saved=original_bytes - optimized_bytes,
-    )
-
-
 # --- simulated transport --------------------------------------------------------
 
 
@@ -174,10 +152,6 @@ class SimulatedLink:
         if responder is not None:
             self._responders[address] = responder
         return endpoint
-
-    def detach(self, address: str) -> None:
-        self._endpoints.pop(address, None)
-        self._responders.pop(address, None)
 
     def send(self, src: str, dst: str, payload: bytes) -> None:
         self.clock += 1

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from digstack import fixtures
-from digstack.cli import _dns_query
 from digstack.digcovery import (
     Bool,
     Digcovery,
@@ -52,7 +51,7 @@ from digstack.dnscodec import (
     measure,
 )
 from digstack.dnsserver import UdpDnsServer
-from digstack.lmdns import SmartObjectAgent, probe, registration_handshake
+from digstack.lmdns import SmartObjectAgent, UdpTransport, ask, probe, registration_handshake
 from digstack.netsim import FrameBudget, SimulatedLink, frames_required
 from digstack.semantics import (
     compact_txt,
@@ -419,6 +418,7 @@ def test_c09_three_directories_publish_discover_resolve_expire():
     core = Digcovery()
     http = DigcoveryHttpServer(core).start()
     dns_servers, publishers, all_entries = [], [], {}
+    transport = UdpTransport(("127.0.0.1", 0))
     try:
         client = HttpDigcoveryClient(http.url, timeout=5.0)
         for d_index, domain in enumerate(DOMAINS):
@@ -445,14 +445,14 @@ def test_c09_three_directories_publish_discover_resolve_expire():
         for (domain, instance), entry in all_entries.items():
             host, port = endpoints[domain]
             name = f"{instance}.{domain}"
-            srv_reply = _dns_query(host, port, name, RType.SRV, timeout=3.0)
+            srv_reply = ask(transport, (host, port), name, RType.SRV, 3.0)
             assert srv_reply is not None and srv_reply.header.rcode == 0
             srv = srv_reply.answers[0].rdata
             assert srv.port == entry.srv.port
-            txt_reply = _dns_query(host, port, name, RType.TXT, timeout=3.0)
+            txt_reply = ask(transport, (host, port), name, RType.TXT, 3.0)
             meta = from_txt([c.decode() for c in txt_reply.answers[0].rdata])
             assert meta == entry.meta
-            aaaa = _dns_query(host, port, str(srv.target), RType.AAAA, timeout=3.0)
+            aaaa = ask(transport, (host, port), str(srv.target), RType.AAAA, 3.0)
             assert aaaa.answers[0].rdata == entry.addr6
 
         # the ten short-lived fans exist, then expire, then vanish globally
@@ -468,6 +468,7 @@ def test_c09_three_directories_publish_discover_resolve_expire():
         # everything else is still discoverable
         assert [d["domain"] for d in client.discover("*.*")] == sorted(DOMAINS)
     finally:
+        transport.close()
         for server in dns_servers:
             server.stop()
         http.stop()

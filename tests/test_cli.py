@@ -296,6 +296,12 @@ def test_daemons_end_to_end(tmp_path):
         stop(lookup)
 
 
+def test_bare_dns_listen_host_takes_the_option_default_port():
+    lookup, ready = spawn(["digcovery", "--listen", "127.0.0.1:0", "--dns-listen", "127.0.0.1"])
+    stop(lookup)
+    assert ready["dns"] == "127.0.0.1:5453"
+
+
 def test_daemon_exits_one_on_a_bad_journal_line(tmp_path):
     journal = tmp_path / "daemon.journal"
     journal.write_text("")

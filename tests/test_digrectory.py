@@ -244,6 +244,49 @@ def test_follower_matches_a_fresh_replay(tmp_path):
     assert follower.revision == 9
 
 
+@pytest.mark.parametrize("rotate", ["truncate", "rename"])
+def test_follower_starts_over_on_a_rotated_journal(tmp_path, rotate):
+    path = tmp_path / "directory.journal"
+    follower = Digrectory(fixtures.DOMAIN, clock=FakeClock(), journal_path=str(path))
+    writer = Digrectory(fixtures.DOMAIN, clock=FakeClock(), journal_path=str(path))
+    writer.register(fixtures.light_lab_entry())
+    writer.register(light("light_two"))
+    follower.follow_journal()
+    assert follower.revision == 2
+
+    if rotate == "truncate":
+        path.write_text("")
+    else:
+        # the new file is longer than the old offset, so only its inode tells
+        fresh = tmp_path / "directory.journal.new"
+        lines = [json.dumps({"op": "register", "entry": light(f"light_{i}").to_dict()}) for i in range(3)]
+        fresh.write_text("\n".join(lines) + "\n")
+        fresh.replace(path)
+    Digrectory(fixtures.DOMAIN, clock=FakeClock(), journal_path=str(path)).register(light("light_new"))
+    follower.follow_journal()
+    assert follower.get("light_new").instance == "light_new"
+
+
+def test_journaled_refresh_keeps_a_follower_entry_alive(tmp_path):
+    path = tmp_path / "directory.journal"
+    clock = FakeClock(now=0.0)
+    follower = Digrectory(fixtures.DOMAIN, clock=clock, journal_path=str(path))
+    entry = fixtures.light_lab_entry()
+    assert follower.register(entry) == "created"
+    assert follower.revision == 1
+
+    clock.now = entry.ttl - 10
+    owner = Digrectory(fixtures.DOMAIN, clock=clock, journal_path=str(path))
+    assert owner.register(fixtures.light_lab_entry()) == "refreshed"
+    assert len(path.read_text().splitlines()) == 2
+    follower.follow_journal()
+    assert follower.revision == 1  # a refresh leaves the revision alone
+
+    clock.now = entry.ttl + 10
+    assert follower.expire_stale() == []
+    assert follower.get("light_lab").revision == 1
+
+
 def test_answers_stay_whole_while_entries_change():
     d = Digrectory(fixtures.DOMAIN)
     for i in range(1000):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from digstack import fixtures
 from digstack.dnscodec import (
+    HEADER_LEN,
     BadPointer,
     CodecError,
     DnsHeader,
@@ -29,6 +31,7 @@ from digstack.dnscodec import (
     measure,
     response_for,
     strip_optional_sections,
+    truncate,
 )
 
 # --- strategies -------------------------------------------------------------
@@ -274,6 +277,22 @@ def test_roundtrip_both_modes(msg):
 def test_compression_is_semantically_neutral(msg):
     assert decode(encode(msg, True)) == decode(encode(msg, False))
     assert len(encode(msg, True)) <= len(encode(msg, False))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_messages, st.booleans(), st.integers(HEADER_LEN, 400))
+def test_truncate_keeps_a_prefix_of_whole_records(msg, compression, limit):
+    msg = replace(msg, header=replace(msg.header, tc=0))
+    wire = encode(msg, compression)
+    cut = truncate(wire, limit)
+    kept = decode(cut)
+    assert encode(kept, compression) == cut  # cut at a record boundary
+    assert cut == wire if len(wire) <= limit else len(cut) <= limit
+    items = msg.questions + msg.records()
+    kept_items = kept.questions + kept.records()
+    assert kept_items == items[: len(kept_items)]
+    assert kept.header.tc == (len(kept_items) < len(items)) == (len(wire) > limit)
+    assert replace(kept.header, tc=0) == msg.header
 
 
 @settings(max_examples=100, deadline=None)

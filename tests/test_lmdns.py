@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from digstack import fixtures
@@ -28,12 +26,11 @@ from digstack.lmdns import (
     UdpTransport,
     answer_query,
     probe,
-    ptr_question,
     refresh,
     registration_handshake,
     select_responder,
-    serve_udp,
 )
+from digstack.dnsserver import UdpDnsServer
 from digstack.netsim import SimulatedLink
 
 
@@ -247,15 +244,11 @@ def test_refresh_answer_resets_miss_count():
 
 
 def test_probe_and_handshake_over_loopback_udp():
-    agent_transport = UdpTransport(("127.0.0.1", 0))
+    profile = _profile()
+    server = UdpDnsServer(lambda q: answer_query(profile, q)).start()
     prober = UdpTransport(("127.0.0.1", 0))
     # Point "multicast" at the agent directly: loopback stands in for the group.
-    prober.multicast_address = agent_transport.address
-    stop = threading.Event()
-    server = threading.Thread(
-        target=serve_udp, args=(_profile(), agent_transport, stop.is_set), daemon=True
-    )
-    server.start()
+    prober.multicast_address = server.address
     try:
         results = probe(prober, "_lamp._sub._coap._udp", window=0.5)
         assert [r.instance for r in results] == ["light_lab.rd.esiot.com"]
@@ -263,7 +256,5 @@ def test_probe_and_handshake_over_loopback_udp():
         assert records.srv.port == 1234
         assert records.meta.model == "dimmer"
     finally:
-        stop.set()
-        server.join(timeout=2)
-        agent_transport.close()
+        server.stop()
         prober.close()

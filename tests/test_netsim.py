@@ -12,7 +12,6 @@ from digstack.netsim import (
     MULTICAST,
     FrameBudget,
     SimulatedLink,
-    compare,
     frames_required,
     render_report,
     simulate_exchange,
@@ -46,17 +45,19 @@ def test_frames_required_boundaries():
 
 def test_reference_pair_is_one_vs_three_frames():
     worst_case = FrameBudget(overhead=41)
-    result = compare(fixtures.srv_reply_original(), fixtures.srv_reply_optimized(), worst_case)
-    assert result.frames_optimized == 1
-    assert result.frames_original == 3
-    assert 91 <= result.bytes_saved <= 127
+    original, optimized = simulate_exchange(
+        [fixtures.srv_reply_original(), fixtures.srv_reply_optimized()], worst_case
+    ).messages
+    assert optimized.frames == 1
+    assert original.frames == 3
+    assert 91 <= original.nbytes - optimized.nbytes <= 127
 
 
 def test_txt_pair_savings():
-    result = compare(fixtures.txt_reply_multi(), fixtures.txt_reply_joined())
-    assert result.bytes_saved == 91
-    assert result.frames_original == 3
-    assert result.frames_optimized == 2
+    original, optimized = simulate_exchange([fixtures.txt_reply_multi(), fixtures.txt_reply_joined()]).messages
+    assert original.nbytes - optimized.nbytes == 91
+    assert original.frames == 3
+    assert optimized.frames == 2
 
 
 def test_simulate_exchange_accepts_messages_and_bytes():
