@@ -51,10 +51,16 @@ def _fail(message: str) -> int:
     return TROUBLE
 
 
+class BadAddress(ValueError):
+    """A host:port argument whose port is not an integer in 0-65535."""
+
+
 def _hostport(text: str, default_port: int) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep:
         return text, default_port
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise BadAddress(f"bad port in {text!r}: expected an integer in 0-65535")
     return host, int(port)
 
 
@@ -62,23 +68,27 @@ def _client(args) -> HttpDigcoveryClient:
     return HttpDigcoveryClient(args.digcovery, timeout=args.timeout)
 
 
-def _wait_for_stop() -> None:
+def _stop_event() -> threading.Event:
+    """An event that SIGINT or SIGTERM sets."""
     stop = threading.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, lambda *_: stop.set())
-    stop.wait()
+    return stop
 
 
 # --- daemons ---------------------------------------------------------------------
 
 
 def cmd_digrectory(args) -> int:
+    host, port = _hostport(args.listen, 5300)
     try:
         directory = Digrectory(args.domain, journal_path=args.journal)
     except ParseError as err:
         return _fail(f"journal: {err}")
-    host, port = _hostport(args.listen, 5300)
-    server = UdpDnsServer(directory.answer, host=host, port=port).start()
+    try:
+        server = UdpDnsServer(directory.answer, host=host, port=port).start()
+    except OSError as err:
+        return _fail(f"listen {args.listen}: {err}")
     bound_host, bound_port = server.address
 
     publisher = None
@@ -109,9 +119,7 @@ def cmd_digrectory(args) -> int:
         f"digrectory ready domain={args.domain} dns={bound_host}:{bound_port}",
     )
 
-    stop = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda *_: stop.set())
+    stop = _stop_event()
     try:
         while not stop.is_set():
             stop.wait(args.publish_interval)
@@ -130,26 +138,27 @@ def cmd_digrectory(args) -> int:
 
 
 def cmd_digcovery(args) -> int:
+    http_host, http_port = _hostport(args.listen, 8460)
+    dns_host, dns_port = _hostport(args.dns_listen, 5453)
     core = Digcovery()
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            if not isinstance(config, dict):
+                return _fail(f"config: expected a JSON object, got {type(config).__name__}")
             for item in config.get("domains", ()):
-                core.register_domain(
-                    DomainRecord(
-                        domain=item["domain"],
-                        host=item["host"],
-                        dns_port=int(item["dns_port"]),
-                        http_port=int(item.get("http_port", 0)),
-                        owner=str(item.get("owner", "")),
-                    )
-                )
+                core.register_domain(DomainRecord.from_dict(item))
         except (OSError, ValueError, KeyError, TypeError) as err:
             return _fail(f"config: {err}")
-    http_host, http_port = _hostport(args.listen, 8460)
-    http = DigcoveryHttpServer(core, host=http_host, port=http_port).start()
-    dns_host, dns_port = _hostport(args.dns_listen, 5453)
-    dns = UdpDnsServer(lambda q: dns_front_answer(core, q), host=dns_host, port=dns_port).start()
+    try:
+        http = DigcoveryHttpServer(core, host=http_host, port=http_port).start()
+    except OSError as err:
+        return _fail(f"listen {args.listen}: {err}")
+    try:
+        dns = UdpDnsServer(lambda q: dns_front_answer(core, q), host=dns_host, port=dns_port).start()
+    except OSError as err:
+        http.stop()
+        return _fail(f"dns-listen {args.dns_listen}: {err}")
 
     _emit(
         args,
@@ -162,7 +171,7 @@ def cmd_digcovery(args) -> int:
         f"digcovery ready http={http.url} dns=%s:%d" % dns.address,
     )
     try:
-        _wait_for_stop()
+        _stop_event().wait()
     finally:
         dns.stop()
         http.stop()
@@ -342,19 +351,7 @@ def cmd_expand_txt(args) -> int:
         meta = expand_txt(args.data)
     except (SemanticsError, ValueError) as err:
         return _fail(str(err))
-    _emit(
-        args,
-        {
-            "rt": meta.rt,
-            "ins": meta.ins,
-            "lt": meta.lt,
-            "model": meta.model,
-            "if": meta.if_,
-            "verbs": meta.verbs,
-            "extra": meta.extra,
-        },
-        to_txt(meta, "single")[0],
-    )
+    _emit(args, meta.to_dict(), to_txt(meta)[0])
     return OK
 
 
@@ -423,6 +420,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BadAddress as err:
+        return _fail(str(err))
     except KeyboardInterrupt:
         return OK
 

@@ -16,7 +16,6 @@ combinators are not.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -52,12 +51,6 @@ class GeoPoint:
     lat: float
     lon: float
 
-    def distance_km(self, other: GeoPoint) -> float:
-        """Equirectangular approximation; plenty for sorting nearby hits."""
-        x = math.radians(other.lon - self.lon) * math.cos(math.radians((self.lat + other.lat) / 2))
-        y = math.radians(other.lat - self.lat)
-        return 6371.0 * math.hypot(x, y)
-
 
 @dataclass(frozen=True, slots=True)
 class PointerSummary:
@@ -90,6 +83,8 @@ class PointerSummary:
 
     @classmethod
     def from_dict(cls, data: dict) -> PointerSummary:
+        if not isinstance(data, dict):
+            raise TypeError(f"a pointer summary is a JSON object, not {type(data).__name__}")
         geo = data.get("geo")
         return cls(
             instance=data["instance"],
@@ -111,7 +106,25 @@ class DomainRecord:
     dns_port: int
     http_port: int = 0
     owner: str = ""
-    created: float = 0.0
+
+    def to_dict(self) -> dict:
+        return {
+            "domain": self.domain,
+            "host": self.host,
+            "dns_port": self.dns_port,
+            "http_port": self.http_port,
+            "owner": self.owner,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> DomainRecord:
+        return cls(
+            domain=data["domain"],
+            host=data["host"],
+            dns_port=int(data["dns_port"]),
+            http_port=int(data.get("http_port", 0)),
+            owner=str(data.get("owner", "")),
+        )
 
 
 # --- query tree -----------------------------------------------------------------
@@ -484,11 +497,6 @@ class QueryHit:
         }
 
 
-def sort_by_distance(hits: Iterable[QueryHit], origin: GeoPoint) -> list[QueryHit]:
-    """Optional nearest-first ordering for hits that carry coordinates."""
-    return sorted(hits, key=lambda h: origin.distance_km(h.geo) if h.geo else math.inf)
-
-
 class Digcovery:
     """Domain registry plus pointer index; one writer, many readers.
 
@@ -499,14 +507,14 @@ class Digcovery:
     batches with no query between them costs one build.
     """
 
-    def __init__(self, cache_capacity: int = 1024) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._domains: dict[str, DomainRecord] = {}
         self._current: dict[tuple, PointerSummary] = {}
         self._graves: dict[tuple, int] = {}
         self._generation = 0
         self._snapshot = _Snapshot([], 0)
-        self.cache = FilterCache(cache_capacity)
+        self.cache = FilterCache()
 
     # -- domains --
 
@@ -516,12 +524,6 @@ class Digcovery:
             if key in self._domains:
                 raise DuplicateDomain(record.domain)
             self._domains[key] = record
-
-    def domain(self, name: str) -> DomainRecord:
-        try:
-            return self._domains[name.lower()]
-        except KeyError:
-            raise UnknownDomain(name) from None
 
     def domains(self) -> list[DomainRecord]:
         return sorted(self._domains.values(), key=lambda d: d.domain)

@@ -101,7 +101,7 @@ class DirectoryEntry:
             self.instance.lower(),
             self.ptr_paths,
             self.srv,
-            tuple(to_txt(self.meta, "single")),
+            tuple(to_txt(self.meta)),
             self.addr6,
             self.addr4,
             self.ttl,
@@ -122,29 +122,12 @@ class DirectoryEntry:
             "ttl": self.ttl,
             "geo": {"lat": self.geo.lat, "lon": self.geo.lon} if self.geo else None,
             "origin": self.origin,
-            "meta": {
-                "rt": self.meta.rt,
-                "ins": self.meta.ins,
-                "lt": self.meta.lt,
-                "model": self.meta.model,
-                "if": self.meta.if_,
-                "verbs": list(self.meta.verbs),
-                "extra": dict(self.meta.extra),
-            },
+            "meta": self.meta.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> DirectoryEntry:
-        meta_data = data.get("meta", {})
-        meta = ServiceMetadata(
-            rt=meta_data["rt"],
-            ins=int(meta_data.get("ins", 1)),
-            lt=int(meta_data.get("lt", 86400)),
-            model=meta_data.get("model", ""),
-            if_=meta_data.get("if", ""),
-            verbs=tuple(meta_data.get("verbs", ())),
-            extra=dict(meta_data.get("extra", {})),
-        )
+        meta = ServiceMetadata.from_dict(data.get("meta", {}))
         geo = data.get("geo")
         return cls(
             instance=data["instance"],
@@ -179,7 +162,6 @@ def entry_from_instance_records(
         srv=records.srv,
         meta=records.meta,
         addr6=records.addr6,
-        addr4=records.addr4,
         ttl=records.meta.lt,
         geo=geo,
         origin="mdns",
@@ -251,23 +233,12 @@ class Digrectory:
         with self._lock:
             del self._entries[key]
             self._revision += 1
-        for path in entry.ptr_paths:
-            self._tombstones.append(
-                PointerSummary(
-                    instance=entry.instance,
-                    service_path=path,
-                    domain=self.domain,
-                    rt=entry.meta.rt,
-                    geo=entry.geo,
-                    revision=self._revision,
-                    removed=True,
-                )
-            )
+        self._tombstones += self._pointers(entry, self._revision, removed=True)
         return entry
 
-    def expire_stale(self, now: Optional[float] = None) -> list[DirectoryEntry]:
+    def expire_stale(self) -> list[DirectoryEntry]:
         """Drop entries not seen within their ttl; tombstones follow."""
-        now = self.clock() if now is None else now
+        now = self.clock()
         stale = [e.instance for e in self._snapshot() if now - e.last_seen > e.ttl]
         return [self.withdraw(name) for name in stale]
 
@@ -336,22 +307,16 @@ class Digrectory:
 
     # -- pointers --
 
+    def _pointers(self, entry: DirectoryEntry, revision: int, removed: bool = False) -> list[PointerSummary]:
+        """The pointer of each of an entry's service paths."""
+        return [
+            PointerSummary(entry.instance, path, self.domain, entry.meta.rt, entry.geo, revision, removed)
+            for path in entry.ptr_paths
+        ]
+
     def pointer_summaries(self) -> list[PointerSummary]:
         """One live pointer per (instance, service path)."""
-        out = []
-        for entry in self.live_entries():
-            for path in entry.ptr_paths:
-                out.append(
-                    PointerSummary(
-                        instance=entry.instance,
-                        service_path=path,
-                        domain=self.domain,
-                        rt=entry.meta.rt,
-                        geo=entry.geo,
-                        revision=entry.revision,
-                    )
-                )
-        return out
+        return [p for entry in self.live_entries() for p in self._pointers(entry, entry.revision)]
 
     def pending_tombstones(self) -> list[PointerSummary]:
         return list(self._tombstones)
@@ -396,7 +361,7 @@ class Digrectory:
                 if rrtype == RType.SRV and qname == DomainName.from_text(entry.instance_name):
                     answers = [ResourceRecord(qname, RType.SRV, entry.ttl, entry.srv)]
                 elif rrtype == RType.TXT:
-                    strings = tuple(s.encode("utf-8") for s in to_txt(entry.meta, "single"))
+                    strings = tuple(s.encode("utf-8") for s in to_txt(entry.meta))
                     answers = [ResourceRecord(qname, RType.TXT, entry.ttl, strings)]
                 elif rrtype == RType.AAAA and entry.addr6:
                     answers = [ResourceRecord(qname, RType.AAAA, entry.ttl, entry.addr6)]
@@ -482,16 +447,13 @@ class EpcMapper:
     refuses hash collisions so the reverse direction stays unambiguous.
     """
 
-    def __init__(self, prefix: bytes = EPC_PREFIX) -> None:
-        if len(prefix) != 8:
-            raise ValueError("prefix must be 8 bytes")
-        self.prefix = prefix
+    def __init__(self) -> None:
         self._by_epc: dict[str, bytes] = {}
         self._by_addr: dict[bytes, str] = {}
 
     def address_for(self, epc: str) -> bytes:
         digest = hashlib.sha256(epc.encode("utf-8")).digest()[:8]
-        return self.prefix + digest
+        return EPC_PREFIX + digest
 
     def register(self, epc: str) -> bytes:
         addr = self.address_for(epc)
@@ -555,10 +517,10 @@ class EpcisDriver:
     """Keeps a directory in step with an EPCIS repository and resolves
     tags through either the object API or the DNS path."""
 
-    def __init__(self, epcis: MockEpcis, directory: Digrectory, mapper: Optional[EpcMapper] = None) -> None:
+    def __init__(self, epcis: MockEpcis, directory: Digrectory) -> None:
         self.epcis = epcis
         self.directory = directory
-        self.mapper = mapper or EpcMapper()
+        self.mapper = EpcMapper()
 
     def sync(self) -> int:
         """Register every captured tag; returns how many changed the directory."""

@@ -11,7 +11,7 @@ enter the compression table so later owner names can point into them.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Union
 
@@ -99,11 +99,6 @@ class DomainName:
 
     def key(self) -> tuple[bytes, ...]:
         return tuple(label.lower() for label in self.labels)
-
-    def under(self, suffix: DomainName) -> bool:
-        """True when this name equals `suffix` or sits below it."""
-        n = len(suffix.labels)
-        return n <= len(self.labels) and self.key()[len(self.labels) - n:] == suffix.key()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DomainName):
@@ -512,13 +507,6 @@ def truncate(wire: bytes, limit: int) -> bytes:
     return bytes(out)
 
 
-def strip_optional_sections(msg: DnsMessage) -> DnsMessage:
-    """Drop authority and additional records; the size-reduction transform."""
-    if not msg.authority and not msg.additional:
-        return msg
-    return replace(msg, authority=(), additional=())
-
-
-def measure(msg: DnsMessage, compression: bool = True) -> int:
-    """Encoded size in bytes."""
-    return len(encode(msg, compression))
+def measure(msg: DnsMessage) -> int:
+    """Encoded size in bytes, compressed."""
+    return len(encode(msg))

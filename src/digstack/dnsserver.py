@@ -35,7 +35,11 @@ class UdpDnsServer:
         self._answer = answer
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
+        try:
+            self._sock.bind((host, port))
+        except OSError:
+            self._sock.close()
+            raise
         self._sock.settimeout(0.2)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None

@@ -4,8 +4,7 @@ directory learns about them without flooding a constrained link.
 The economy rules: answers never carry authority/additional sections,
 metadata travels as one joined TXT record, and a directory that already
 knows an instance stops after the PTR round instead of re-resolving
-SRV/TXT/AAAA.  Old registrations are kept alive by periodic re-probing
-instead of letting them linger.
+SRV/TXT/AAAA.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ import random
 import socket
 import time
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .dnscodec import (
     CodecError,
@@ -131,7 +129,7 @@ def answer_query(profile: SmartObjectProfile, query: DnsMessage) -> DnsMessage |
         elif q.rrtype == RType.SRV and q.name == instance_name:
             answers.append(ResourceRecord(q.name, RType.SRV, profile.ttl, profile.srv_data()))
         elif q.rrtype == RType.TXT and q.name in (instance_name, host_name):
-            joined = to_txt(profile.meta, "single")[0].encode("utf-8")
+            joined = to_txt(profile.meta)[0].encode("utf-8")
             answers.append(ResourceRecord(q.name, RType.TXT, profile.ttl, (joined,)))
         elif q.rrtype == RType.AAAA and q.name in (instance_name, host_name):
             answers.append(ResourceRecord(q.name, RType.AAAA, profile.ttl, profile.addr6))
@@ -220,7 +218,6 @@ class InstanceRecords:
     srv: SrvData
     meta: ServiceMetadata
     addr6: bytes
-    addr4: bytes | None = None
 
 
 def _record(transport: Transport, responder, name: DomainName, rrtype: int, window: float) -> ResourceRecord | None:
@@ -234,12 +231,11 @@ def registration_handshake(
     transport: Transport,
     *,
     window: float = 1.0,
-    want_a: bool = False,
 ) -> InstanceRecords | None:
     """Resolve a probed instance, or skip it entirely when already known.
 
     A known instance costs zero messages.  A new one costs exactly one
-    SRV, one TXT and one AAAA exchange (plus A when asked for).
+    SRV, one TXT and one AAAA exchange.
     """
     instance = discovered.instance.lower()
     if instance in {k.lower() for k in known}:
@@ -249,84 +245,11 @@ def registration_handshake(
     txt_rr = _record(transport, discovered.responder, name, RType.TXT, window)
     aaaa_owner = srv_rr.rdata.target if srv_rr is not None else name
     aaaa_rr = _record(transport, discovered.responder, aaaa_owner, RType.AAAA, window)
-    a_rr = _record(transport, discovered.responder, aaaa_owner, RType.A, window) if want_a else None
     missing = [label for label, rr in (("SRV", srv_rr), ("TXT", txt_rr), ("AAAA", aaaa_rr)) if rr is None]
-    if want_a and a_rr is None:
-        missing.append("A")
     if missing:
         raise HandshakeTimeout(instance, missing)
     meta = from_txt([chunk.decode("utf-8") for chunk in txt_rr.rdata])
-    return InstanceRecords(
-        instance=instance,
-        srv=srv_rr.rdata,
-        meta=meta,
-        addr6=aaaa_rr.rdata,
-        addr4=a_rr.rdata if a_rr is not None else None,
-    )
-
-
-def select_responder(records: Iterable[InstanceRecords]) -> InstanceRecords:
-    """Pick among equivalent services: lowest priority wins, then the
-    highest announced capacity, then the lexicographically first name."""
-    candidates = list(records)
-    if not candidates:
-        raise ValueError("no candidates")
-    return min(candidates, key=lambda r: (r.srv.priority, -r.srv.capacity, r.instance))
-
-
-class RefreshOutcome(Enum):
-    KEEP = "keep"
-    REFRESHED = "refreshed"
-    EXPIRED = "expired"
-
-
-@dataclass(frozen=True)
-class RefreshPolicy:
-    """When to re-probe a registration and when to let it die."""
-
-    refresh_interval: float
-    max_missed: int = 3
-
-    def __post_init__(self) -> None:
-        if self.refresh_interval <= 0:
-            raise ValueError("refresh_interval must be positive")
-        if self.max_missed < 1:
-            raise ValueError("max_missed must be at least 1")
-
-    @classmethod
-    def from_lifetime(cls, lt: float) -> RefreshPolicy:
-        """Default policy: re-probe at a quarter of the lifetime."""
-        return cls(refresh_interval=lt / 4, max_missed=3)
-
-
-@dataclass
-class RefreshState:
-    missed: int = 0
-
-
-def refresh(
-    age: float,
-    policy: RefreshPolicy,
-    probe_alive: Callable[[], bool],
-    state: RefreshState | None = None,
-) -> RefreshOutcome:
-    """One refresh decision for a registration of the given age.
-
-    Below the interval nothing happens.  Past it, one probe runs: an
-    answer refreshes the entry, silence counts toward `max_missed`
-    consecutive misses, after which the entry expires.
-    """
-    if age < policy.refresh_interval:
-        return RefreshOutcome.KEEP
-    if state is None:
-        state = RefreshState()
-    if probe_alive():
-        state.missed = 0
-        return RefreshOutcome.REFRESHED
-    state.missed += 1
-    if state.missed >= policy.max_missed:
-        return RefreshOutcome.EXPIRED
-    return RefreshOutcome.KEEP
+    return InstanceRecords(instance=instance, srv=srv_rr.rdata, meta=meta, addr6=aaaa_rr.rdata)
 
 
 class UdpTransport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .dnscodec import DnsMessage, measure
@@ -63,7 +63,6 @@ class MessageCost:
 @dataclass(frozen=True)
 class TransmissionReport:
     messages: tuple[MessageCost, ...]
-    budget: FrameBudget
 
     @property
     def total_bytes(self) -> int:
@@ -72,10 +71,6 @@ class TransmissionReport:
     @property
     def total_frames(self) -> int:
         return sum(m.frames for m in self.messages)
-
-    @property
-    def on_air_bytes(self) -> int:
-        return self.total_frames * self.budget.frame_size
 
 
 def simulate_exchange(
@@ -95,7 +90,7 @@ def simulate_exchange(
     for name, msg in zip(names, messages):
         nbytes = len(msg) if isinstance(msg, (bytes, bytearray)) else measure(msg)
         costs.append(MessageCost(name, nbytes, frames_required(nbytes, budget)))
-    return TransmissionReport(tuple(costs), budget)
+    return TransmissionReport(tuple(costs))
 
 
 # --- simulated transport --------------------------------------------------------
@@ -137,8 +132,7 @@ class SimulatedLink:
     economy checks count.
     """
 
-    def __init__(self, budget: FrameBudget = FrameBudget()) -> None:
-        self.budget = budget
+    def __init__(self) -> None:
         self.clock = 0
         self.log: list[Datagram] = []
         self._endpoints: dict[str, LinkEndpoint] = {}
@@ -167,19 +161,3 @@ class SimulatedLink:
                 self._endpoints[address].inbox.pop()
                 responder(payload, src)
 
-    def transmission_report(self) -> TransmissionReport:
-        return simulate_exchange(
-            [d.payload for d in self.log],
-            self.budget,
-            labels=[f"{d.src}->{d.dst}" for d in self.log],
-        )
-
-
-def render_report(report: TransmissionReport) -> str:
-    """Fixed-width text table for a transmission report."""
-    width = max([len(m.label) for m in report.messages] + [7])
-    lines = [f"{'message':<{width}}  {'bytes':>5}  {'frames':>6}"]
-    for m in report.messages:
-        lines.append(f"{m.label:<{width}}  {m.nbytes:>5}  {m.frames:>6}")
-    lines.append(f"{'total':<{width}}  {report.total_bytes:>5}  {report.total_frames:>6}")
-    return "\n".join(lines)

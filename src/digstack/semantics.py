@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 MAX_TXT_STRING = 255
-COMPACT_BUDGET = 80
 
 CORE_KEYS = ("rt", "ins", "lt", "model", "if")
 WILDCARD_KEYS = {"rt": "r", "ins": "i", "lt": "l", "model": "m", "if": "f"}
@@ -93,6 +92,29 @@ class ServiceMetadata:
             if k in CORE_KEYS:
                 raise ValueError(f"extra key {k!r} shadows a core key")
 
+    def to_dict(self) -> dict:
+        return {
+            "rt": self.rt,
+            "ins": self.ins,
+            "lt": self.lt,
+            "model": self.model,
+            "if": self.if_,
+            "verbs": list(self.verbs),
+            "extra": dict(self.extra),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> ServiceMetadata:
+        return cls(
+            rt=data["rt"],
+            ins=int(data.get("ins", 1)),
+            lt=int(data.get("lt", 86400)),
+            model=data.get("model", ""),
+            if_=data.get("if", ""),
+            verbs=data.get("verbs", ()),
+            extra=data.get("extra", {}),
+        )
+
 
 def _core_pairs(meta: ServiceMetadata) -> list[tuple[str, str]]:
     return [
@@ -104,37 +126,24 @@ def _core_pairs(meta: ServiceMetadata) -> list[tuple[str, str]]:
     ]
 
 
-def to_txt(meta: ServiceMetadata, mode: str = "single") -> list[str]:
-    """Render metadata as TXT character-strings.
-
-    "single" joins everything into one string (core pairs, extras,
-    verbs, in that order).  "multi" produces the legacy split: one
-    string for the interface group, one for the resource group, one for
-    the verbs.
-    """
-    pairs = _core_pairs(meta)
-    extras = [f"{k}={v}" for k, v in meta.extra.items()]
-    if mode == "single":
-        strings = [";".join([f"{k}={v}" for k, v in pairs] + extras + list(meta.verbs))]
-    elif mode == "multi":
-        interface_group = ";".join([f"if={meta.if_}"] + extras)
-        resource_group = ";".join(f"{k}={v}" for k, v in pairs[:4])
-        strings = [interface_group, resource_group]
-        if meta.verbs:
-            strings.append(";".join(meta.verbs))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for s in strings:
-        if len(s.encode("utf-8")) > MAX_TXT_STRING:
-            raise StringTooLong(f"TXT string of {len(s.encode())} bytes (limit {MAX_TXT_STRING})")
-    return strings
+def to_txt(meta: ServiceMetadata) -> list[str]:
+    """Render metadata as one TXT character-string: core pairs, extras,
+    verbs, in that order."""
+    pairs = [f"{k}={v}" for k, v in _core_pairs(meta)]
+    pairs += [f"{k}={v}" for k, v in meta.extra.items()]
+    joined = ";".join(pairs + list(meta.verbs))
+    if len(joined.encode("utf-8")) > MAX_TXT_STRING:
+        raise StringTooLong(f"TXT string of {len(joined.encode())} bytes (limit {MAX_TXT_STRING})")
+    return [joined]
 
 
 def from_txt(strings: list[str] | tuple[str, ...]) -> ServiceMetadata:
-    """Parse TXT strings back into metadata; inverse of `to_txt` for both modes.
+    """Parse TXT strings back into metadata; inverse of `to_txt`.
 
-    key=value tokens fill the core fields or the extra map; bare tokens
-    are verbs.  A missing rt is the one hard error.
+    The strings may be split at any token boundary, as multi-string TXT
+    records from other responders are.  key=value tokens fill the core
+    fields or the extra map; bare tokens are verbs.  A missing rt is the
+    one hard error.
     """
     core: dict[str, str] = {}
     extra: dict[str, str] = {}

@@ -50,16 +50,6 @@ class ApiError(Exception):
         self.detail = detail
 
 
-def domain_to_dict(record: DomainRecord) -> dict:
-    return {
-        "domain": record.domain,
-        "host": record.host,
-        "dns_port": record.dns_port,
-        "http_port": record.http_port,
-        "owner": record.owner,
-    }
-
-
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "digcovery/0.1"
@@ -124,20 +114,14 @@ class _Handler(BaseHTTPRequestHandler):
             except MalformedPattern as err:
                 self._fail(400, "malformed-pattern", str(err))
                 return
-            self._send(200, {"domains": [domain_to_dict(d) for d in domains]})
+            self._send(200, {"domains": [d.to_dict() for d in domains]})
         elif parts == ["api", "v1", "domains"]:
-            self._send(200, {"domains": [domain_to_dict(d) for d in self.core.domains()]})
+            self._send(200, {"domains": [d.to_dict() for d in self.core.domains()]})
         else:
             self._fail(404, "no-such-route", parsed.path)
 
     def _register_domain(self, body) -> None:
-        record = DomainRecord(
-            domain=body["domain"],
-            host=body["host"],
-            dns_port=int(body["dns_port"]),
-            http_port=int(body.get("http_port", 0)),
-            owner=str(body.get("owner", "")),
-        )
+        record = DomainRecord.from_dict(body)
         self.core.register_domain(record)
         self._send(201, {"registered": record.domain})
 
@@ -263,7 +247,7 @@ class HttpDigcoveryClient:
             raise EndpointUnreachable(f"{url}: {err}") from None
 
     def register_domain(self, record: DomainRecord) -> dict:
-        return self._request("POST", "/api/v1/domains", domain_to_dict(record))
+        return self._request("POST", "/api/v1/domains", record.to_dict())
 
     def publish_pointers(self, domain: str, summaries: list[PointerSummary]) -> int:
         reply = self._request(

@@ -76,6 +76,56 @@ def test_expand_txt_round(capsys):
     assert code == 1
 
 
+def test_expand_txt_json_format(capsys):
+    code, out = run_cli(
+        capsys, ["--json", "expand-txt", "r=light;i=2;l=86400;m=dimmer;f=EIB;area=1;zone=2;deviceID=3|value;onoff"]
+    )
+    assert code == 0
+    assert out == (
+        '{"rt": "light", "ins": 2, "lt": 86400, "model": "dimmer", "if": "EIB", "verbs": ["value", "onoff"], '
+        '"extra": {"area": "1", "zone": "2", "deviceID": "3"}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "a", "b", "--dns", "127.0.0.1:abc"],
+        ["resolve", "a", "b", "--dns", "127.0.0.1:99999"],
+        ["resolve", "a", "b", "--dns", "127.0.0.1:-1"],
+        ["digrectory", "--domain", "x", "--listen", "127.0.0.1:70000"],
+        ["digcovery", "--listen", "127.0.0.1:", "--dns-listen", "127.0.0.1:0"],
+        ["digcovery", "--listen", "127.0.0.1:0", "--dns-listen", "127.0.0.1:65536"],
+    ],
+)
+def test_bad_port_exits_one_with_a_message(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("digstack: bad port in ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["digrectory", "--domain", "x", "--listen", "192.0.2.1:0"], "digstack: listen 192.0.2.1:0: "),
+        (["digcovery", "--listen", "192.0.2.1:0", "--dns-listen", "127.0.0.1:0"], "digstack: listen 192.0.2.1:0: "),
+        (["digcovery", "--listen", "127.0.0.1:0", "--dns-listen", "192.0.2.1:0"], "digstack: dns-listen 192.0.2.1:0: "),
+    ],
+)
+def test_unbindable_listen_address_exits_one(argv, message, capsys):
+    # 192.0.2.1 (TEST-NET-1) is not an address of this host, so bind fails
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message)
+
+
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[]")
+    assert main(["digcovery", "--config", str(config), "--listen", "127.0.0.1:0"]) == 1
+    assert capsys.readouterr().err == "digstack: config: expected a JSON object, got list\n"
+
+
 def test_register_without_publish(tmp_path, capsys):
     journal = tmp_path / "dir.journal"
     code, out = run_cli(

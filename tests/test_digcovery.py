@@ -19,7 +19,6 @@ from digstack.digcovery import (
     DuplicateDomain,
     FilterCache,
     Filtered,
-    GeoPoint,
     GeoRange,
     MalformedPattern,
     MalformedQuery,
@@ -35,7 +34,6 @@ from digstack.digcovery import (
     canonical_key,
     match_service_path,
     parse_query,
-    sort_by_distance,
 )
 from digstack.dnscodec import DnsHeader, DnsMessage, DomainName, Question, RType, decode, encode
 from digstack.dnsserver import UdpDnsServer
@@ -312,7 +310,7 @@ def test_register_domain_conflicts():
     with pytest.raises(DuplicateDomain):
         core.register_domain(DomainRecord("RD.ESIOT.COM", "127.0.0.1", 5300))
     with pytest.raises(UnknownDomain):
-        core.domain("nowhere.example")
+        core.ingest("nowhere.example", [])
 
 
 # --- discover ---------------------------------------------------------------------
@@ -485,19 +483,7 @@ def test_cache_entry_from_a_replaced_snapshot_is_never_served(c_rt, lights_befor
     assert {h.instance for h in after} == lights_after
 
 
-# --- geo helpers ------------------------------------------------------------------
-
-
-def test_sort_by_distance_orders_and_parks_untagged_last():
-    origin = GeoPoint(37.998, -1.141)
-    hits = [
-        QueryHit("d", "far", "_x._udp", GeoPoint(38.1, -1.141)),
-        QueryHit("d", "none", "_x._udp", None),
-        QueryHit("d", "near", "_x._udp", GeoPoint(37.9981, -1.141)),
-    ]
-    assert [h.instance for h in sort_by_distance(hits, origin)] == ["near", "far", "none"]
-    assert origin.distance_km(GeoPoint(37.998, -1.141)) == 0.0
-    assert 11.0 < origin.distance_km(GeoPoint(38.098, -1.141)) < 11.3
+# --- wire forms ------------------------------------------------------------------
 
 
 def test_pointer_summary_round_trip():
@@ -506,6 +492,15 @@ def test_pointer_summary_round_trip():
     tomb = PointerSummary("a", "_x._udp", "d", "", revision=5, removed=True)
     again = PointerSummary.from_dict(tomb.to_dict())
     assert again.removed and again.revision == 5
+
+
+def test_domain_record_round_trip():
+    record = DomainRecord("rd.esiot.com", "127.0.0.1", 5300, http_port=8080, owner="lab")
+    assert record.to_dict() == {
+        "domain": "rd.esiot.com", "host": "127.0.0.1", "dns_port": 5300, "http_port": 8080, "owner": "lab"
+    }
+    assert DomainRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+    assert DomainRecord.from_dict({"domain": "d", "host": "h", "dns_port": "53"}) == DomainRecord("d", "h", 53)
 
 
 # --- HTTP API ----------------------------------------------------------------------
@@ -566,6 +561,19 @@ def test_http_error_paths(served):
     with pytest.raises(urllib.error.HTTPError) as raw_err:
         urllib.request.urlopen(req, timeout=5)
     assert raw_err.value.code == 400
+
+
+def test_pointer_batch_item_that_is_not_an_object_is_a_bad_request(served, capsys):
+    core, client = served
+    client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
+    for batch in ([1], [None], [fixtures.campus_summaries()[0].to_dict(), "x"]):
+        with pytest.raises(ApiError) as err:
+            client._request("POST", "/api/v1/domains/rd.esiot.com/pointers", batch)
+        assert err.value.status == 400 and err.value.error == "bad-request"
+    assert core.execute(Bool()) == []  # a refused batch changes nothing
+    assert client.publish_pointers("rd.esiot.com", fixtures.campus_summaries()) == 5
+    assert len(client.query({"bool": {}})["results"]) == 5
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_client_reports_unreachable():

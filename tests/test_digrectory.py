@@ -14,6 +14,7 @@ from digstack.digcovery import Digcovery, DomainRecord, GeoPoint, Term, Wildcard
 from digstack.digrectory import (
     Digrectory,
     DirectoryEntry,
+    EPC_PREFIX,
     DomainMismatch,
     EpcCollision,
     EpcMapper,
@@ -168,6 +169,20 @@ def test_answer_ignores_responses_and_empty_queries():
 
 
 # --- journal and entry files ---------------------------------------------------------
+
+
+def test_journal_line_format(tmp_path):
+    journal = tmp_path / "dir.journal"
+    Digrectory(fixtures.DOMAIN, journal_path=str(journal)).register(fixtures.light_lab_entry())
+    assert journal.read_bytes() == (
+        b'{"op": "register", "entry": {"instance": "light_lab", "domain": "rd.esiot.com", "ptr_paths": '
+        b'["_lamp._sub._coap._udp", "_status._lamp._sub._coap._udp", "_onoff._lamp._sub._coap._udp", '
+        b'"_dimmer._lamp._sub._coap._udp", "_x10._lamp._sub._coap._udp"], "hostname": "light1.rd.esiot.com", '
+        b'"port": 1234, "priority": 0, "capacity": 0, "addr6": "2001:720:1710::11", "addr4": "155.54.210.163", '
+        b'"ttl": 604800, "geo": {"lat": 37.998, "lon": -1.141}, "origin": "local", "meta": {"rt": "light", '
+        b'"ins": 2, "lt": 86400, "model": "dimmer", "if": "EIB", "verbs": ["value", "onoff"], '
+        b'"extra": {"area": "1", "zone": "2", "deviceID": "3"}}}}\n'
+    )
 
 
 def test_journal_replay_restores_state(tmp_path):
@@ -415,10 +430,10 @@ def test_entry_from_instance_records():
         srv=fixtures.srv_record().rdata,
         meta=fixtures.dimmer_metadata(),
         addr6=fixtures.HOST_ADDR6,
-        addr4=fixtures.HOST_ADDR4,
     )
     entry = entry_from_instance_records(records, fixtures.DOMAIN, (fixtures.SERVICE_PATH,))
     assert entry.instance == "light_lab" and entry.origin == "mdns"
+    assert entry.addr6 == fixtures.HOST_ADDR6 and entry.addr4 is None
     assert entry.ttl == 86400  # metadata lifetime drives the directory ttl
     d = Digrectory(fixtures.DOMAIN)
     assert d.register(entry) == "created"
@@ -461,7 +476,7 @@ def test_mapper_is_deterministic_and_reversible():
 def test_mapper_refuses_collisions():
     class Collider(EpcMapper):
         def address_for(self, epc: str) -> bytes:
-            return self.prefix + b"\x00" * 8
+            return EPC_PREFIX + b"\x00" * 8
 
     mapper = Collider()
     mapper.register("tag-one")

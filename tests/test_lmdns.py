@@ -1,4 +1,4 @@
-"""Agent answering, probing, the registration handshake, and refresh."""
+"""Agent answering, probing and the registration handshake."""
 
 from __future__ import annotations
 
@@ -11,24 +11,17 @@ from digstack.dnscodec import (
     DomainName,
     Question,
     RType,
-    SrvData,
     decode,
     encode,
 )
 from digstack.lmdns import (
     HandshakeTimeout,
-    InstanceRecords,
     ProbeResult,
-    RefreshOutcome,
-    RefreshPolicy,
-    RefreshState,
     SmartObjectAgent,
     UdpTransport,
     answer_query,
     probe,
-    refresh,
     registration_handshake,
-    select_responder,
 )
 from digstack.dnsserver import UdpDnsServer
 from digstack.netsim import SimulatedLink
@@ -180,64 +173,6 @@ def test_handshake_timeout_reports_missing_records():
     with pytest.raises(HandshakeTimeout) as err:
         registration_handshake(set(), ghost, prober, window=0.01)
     assert err.value.missing == ["SRV", "TXT", "AAAA"]
-
-
-# --- selection and refresh ---------------------------------------------------------
-
-
-def _candidate(instance: str, priority: int, capacity: int) -> InstanceRecords:
-    return InstanceRecords(
-        instance=instance,
-        srv=SrvData(priority, capacity, 5683, DomainName.from_text(instance)),
-        meta=fixtures.dimmer_metadata(),
-        addr6=fixtures.HOST_ADDR6,
-    )
-
-
-def test_select_responder_ordering():
-    a = _candidate("a.local", priority=1, capacity=50)
-    b = _candidate("b.local", priority=0, capacity=10)
-    c = _candidate("c.local", priority=0, capacity=90)
-    d = _candidate("d.local", priority=0, capacity=90)
-    assert select_responder([a, b, c, d]) is c  # lowest priority, highest capacity, first name
-    with pytest.raises(ValueError):
-        select_responder([])
-
-
-def test_refresh_policy_defaults():
-    policy = RefreshPolicy.from_lifetime(86400)
-    assert policy.refresh_interval == 21600
-    assert policy.max_missed == 3
-    with pytest.raises(ValueError):
-        RefreshPolicy(refresh_interval=0)
-
-
-def test_refresh_keeps_young_entry():
-    policy = RefreshPolicy(refresh_interval=300)
-    called = []
-    assert refresh(0, policy, lambda: called.append(1) or True) is RefreshOutcome.KEEP
-    assert not called  # young entries are not probed at all
-
-
-def test_refresh_refreshes_live_entry():
-    policy = RefreshPolicy(refresh_interval=300)
-    assert refresh(300, policy, lambda: True) is RefreshOutcome.REFRESHED
-
-
-def test_refresh_expires_after_consecutive_misses():
-    policy = RefreshPolicy(refresh_interval=300, max_missed=3)
-    state = RefreshState()
-    assert refresh(300, policy, lambda: False, state) is RefreshOutcome.KEEP
-    assert refresh(600, policy, lambda: False, state) is RefreshOutcome.KEEP
-    assert refresh(900, policy, lambda: False, state) is RefreshOutcome.EXPIRED
-
-
-def test_refresh_answer_resets_miss_count():
-    policy = RefreshPolicy(refresh_interval=300, max_missed=2)
-    state = RefreshState()
-    assert refresh(300, policy, lambda: False, state) is RefreshOutcome.KEEP
-    assert refresh(600, policy, lambda: True, state) is RefreshOutcome.REFRESHED
-    assert state.missed == 0
 
 
 # --- UDP transport -------------------------------------------------------------------

@@ -51,16 +51,16 @@ _metadata = st.builds(
 
 
 def test_single_mode_matches_reference_transcript():
-    assert to_txt(fixtures.dimmer_metadata(), "single") == [fixtures.JOINED_TXT.decode()]
+    assert to_txt(fixtures.dimmer_metadata()) == [fixtures.JOINED_TXT.decode()]
 
 
 def test_multi_mode_matches_reference_transcript():
-    assert to_txt(fixtures.lab_light_metadata(), "multi") == [s.decode() for s in fixtures.MULTI_TXT]
+    assert from_txt([s.decode() for s in fixtures.MULTI_TXT]) == fixtures.lab_light_metadata()
 
 
 def test_single_mode_minimal():
     meta = ServiceMetadata(rt="x", ins=1, lt=1, model="m", if_="i")
-    assert to_txt(meta, "single") == ["rt=x;ins=1;lt=1;model=m;if=i"]
+    assert to_txt(meta) == ["rt=x;ins=1;lt=1;model=m;if=i"]
 
 
 def test_from_txt_requires_rt():
@@ -83,7 +83,7 @@ def test_from_txt_parses_integers():
 def test_to_txt_rejects_oversized_string():
     meta = ServiceMetadata(rt="x", extra={"k": "v" * 300})
     with pytest.raises(StringTooLong):
-        to_txt(meta, "single")
+        to_txt(meta)
 
 
 def test_metadata_validation():
@@ -100,13 +100,13 @@ def test_metadata_validation():
 @settings(max_examples=200, deadline=None)
 @given(_metadata)
 def test_txt_roundtrip_single(meta):
-    assert from_txt(to_txt(meta, "single")) == meta
+    assert from_txt(to_txt(meta)) == meta
 
 
 @settings(max_examples=200, deadline=None)
 @given(_metadata)
-def test_txt_roundtrip_multi(meta):
-    assert from_txt(to_txt(meta, "multi")) == meta
+def test_metadata_dict_roundtrip(meta):
+    assert ServiceMetadata.from_dict(json.loads(json.dumps(meta.to_dict()))) == meta
 
 
 # --- compaction ----------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_compact_roundtrip_and_shrinkage(meta):
     compact = compact_txt(meta)
     if not compact.truncated:
         assert expand_txt(compact.data) == meta
-    single = to_txt(meta, "single")[0].encode()
+    single = to_txt(meta)[0].encode()
     assert len(compact.data) < len(single)
 
 
