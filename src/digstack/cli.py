@@ -128,8 +128,9 @@ def cmd_digrectory(args) -> int:
             if publisher is not None:
                 try:
                     publisher.publish()
-                except (EndpointUnreachable, ApiError):
-                    pass  # keep serving; the next tick retries
+                except (EndpointUnreachable, ApiError) as err:
+                    # keep serving; the next tick retries
+                    print(f"digstack: publish: {err}", file=sys.stderr)
     except ParseError as err:
         return _fail(f"journal: {err}")
     finally:

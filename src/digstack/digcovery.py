@@ -20,7 +20,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 TERM_FIELDS = ("instance", "service_path", "domain", "rt")
 GEO_FIELDS = ("latitude", "longitude")
@@ -131,25 +131,35 @@ class DomainRecord:
 
 
 class Query:
-    """Base marker for query tree nodes."""
+    """Base for query tree nodes.  Each node class names its DSL kind and
+    whether its result set may live in the filter cache; a frozen node is
+    its own cache key."""
 
     __slots__ = ()
+    kind = ""
+    cached = False
 
 
 @dataclass(frozen=True)
 class Term(Query):
+    kind = "term"
+    cached = True
     field: str
     value: str
 
 
 @dataclass(frozen=True)
 class Prefix(Query):
+    kind = "prefix"
+    cached = True
     field: str
     value: str
 
 
 @dataclass(frozen=True)
 class Range(Query):
+    kind = "range"
+    cached = True
     field: str
     from_: Union[str, float]
     to_: Union[str, float]
@@ -169,6 +179,7 @@ class Range(Query):
 
 @dataclass(frozen=True)
 class Bool(Query):
+    kind = "bool"
     must: tuple[Query, ...] = ()
     should: tuple[Query, ...] = ()
     must_not: tuple[Query, ...] = ()
@@ -182,12 +193,14 @@ class Bool(Query):
 
 @dataclass(frozen=True)
 class Filtered(Query):
+    kind = "filtered"
     query: Query
     filter: Query
 
 
 @dataclass(frozen=True)
 class GeoRange(Query):
+    kind = "geo_range"
     lat_from: float
     lat_to: float
     lon_from: float
@@ -200,6 +213,7 @@ class GeoRange(Query):
 
 @dataclass(frozen=True)
 class Wildcard(Query):
+    kind = "wildcard"
     pattern: str
 
     def __post_init__(self) -> None:
@@ -238,20 +252,13 @@ def match_service_path(pattern: str, path: str) -> bool:
 # --- cache ---------------------------------------------------------------------------
 
 
-_CACHED_KINDS = {"term", "prefix", "range"}
-_UNCACHED_KINDS = {"bool", "filtered", "geo_range", "wildcard", "script"}
-
-
 def node_kind(node: Query) -> str:
-    return {
-        Term: "term",
-        Prefix: "prefix",
-        Range: "range",
-        Bool: "bool",
-        Filtered: "filtered",
-        GeoRange: "geo_range",
-        Wildcard: "wildcard",
-    }[type(node)]
+    return node.kind
+
+
+# the policy by kind name; "script" is a kind this engine never evaluates
+_CACHEABLE = {cls.kind: cls.cached for cls in (Term, Prefix, Range, Bool, Filtered, GeoRange, Wildcard)}
+_CACHEABLE["script"] = False
 
 
 def cacheability(node: Query | str) -> bool:
@@ -262,65 +269,38 @@ def cacheability(node: Query | str) -> bool:
     wildcards and the bool/filtered combinators do not.
     """
     if isinstance(node, str):
-        kind = node
-        if kind in _CACHED_KINDS:
-            return True
-        if kind in _UNCACHED_KINDS:
-            return False
-        raise MalformedQuery(f"unknown node kind {kind!r}")
-    if isinstance(node, Range) and node.field in GEO_FIELDS:
-        return False
-    return cacheability(node_kind(node))
-
-
-def canonical_key(node: Query) -> tuple:
-    """Stable cache key: kind, field, normalized bounds."""
-    if isinstance(node, Term):
-        return ("term", node.field, node.value)
-    if isinstance(node, Prefix):
-        return ("prefix", node.field, node.value)
-    if isinstance(node, Range):
-        return ("range", node.field, repr(node.from_), repr(node.to_), node.include_from, node.include_to)
-    raise MalformedQuery(f"{node_kind(node)} nodes have no cache key")
+        if node not in _CACHEABLE:
+            raise MalformedQuery(f"unknown node kind {node!r}")
+        return _CACHEABLE[node]
+    return node.cached and not (node.kind == "range" and node.field in GEO_FIELDS)
 
 
 class FilterCache:
-    """LRU map from canonical filter keys to posting sets.
+    """LRU map from filter nodes to posting sets.
 
     Ids are positions in one snapshot's order and mean nothing in another,
-    so the cache holds entries of one snapshot generation only: the newest
-    it has been asked about.  A lookup or store on a newer generation drops
-    every entry; one on an older generation misses or is ignored.
+    so each `_Snapshot` owns its cache: an entry can only be stored by, and
+    served to, a reader of the snapshot that computed it.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, frozenset[int]] = OrderedDict()
-        self._generation = 0
-        self._lock = threading.RLock()
+        self._entries: OrderedDict[Query, frozenset[int]] = OrderedDict()
+        self._lock = threading.Lock()
 
-    def _on(self, generation: int) -> bool:
-        """Move to a newer generation; whether entries may serve this one."""
-        if generation > self._generation:
-            self._entries.clear()
-            self._generation = generation
-        return generation == self._generation
-
-    def get(self, key: tuple, generation: int = 0) -> frozenset[int] | None:
+    def get(self, node: Query) -> frozenset[int] | None:
         with self._lock:
-            if not self._on(generation) or key not in self._entries:
+            if node not in self._entries:
                 return None
-            self._entries.move_to_end(key)
-            return self._entries[key]
+            self._entries.move_to_end(node)
+            return self._entries[node]
 
-    def put(self, key: tuple, ids: frozenset[int], generation: int = 0) -> None:
+    def put(self, node: Query, ids: frozenset[int]) -> None:
         with self._lock:
-            if not self._on(generation):
-                return
-            self._entries[key] = ids
-            self._entries.move_to_end(key)
+            self._entries[node] = ids
+            self._entries.move_to_end(node)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
@@ -332,10 +312,10 @@ class FilterCache:
 class ExecutionStats:
     """Per-execution cache events, in evaluation order."""
 
-    events: list[tuple[tuple, bool]] = field(default_factory=list)
+    events: list[tuple[Query, bool]] = field(default_factory=list)
 
-    def record(self, key: tuple, hit: bool) -> None:
-        self.events.append((key, hit))
+    def record(self, node: Query, hit: bool) -> None:
+        self.events.append((node, hit))
 
     @property
     def hits(self) -> int:
@@ -353,13 +333,15 @@ class _Snapshot:
     """Immutable inverted index over one generation of summaries.
 
     Ids are positions in (domain, instance, service path) order, the order
-    results are promised in, so sorting a result's ids orders its hits.
+    results are promised in, so sorting a result's ids orders its rows.
+    Everything valid for this generation only belongs to the snapshot,
+    its filter cache included, and goes when the snapshot is replaced.
     """
 
     def __init__(self, summaries: list[PointerSummary], generation: int) -> None:
         self.generation = generation
         self.summaries = summaries
-        self._hits: list[QueryHit | None] = [None] * len(summaries)
+        self.cache = FilterCache()
         self.universe = frozenset(range(len(summaries)))
         self.postings: dict[str, dict[str, set[int]]] = {f: {} for f in TERM_FIELDS}
         for sid, s in enumerate(summaries):
@@ -375,25 +357,19 @@ class _Snapshot:
             rank = sorted(range(len(values)), key=values.__getitem__)
             self.geo_axis[axis] = ([values[i] for i in rank], [tagged[i][0] for i in rank])
 
-    def hits(self, ids: frozenset[int], offset: int, limit: int | None) -> list[QueryHit]:
-        """One page of a result, in result order; each hit is made the first
-        time a page includes it."""
+    def page(self, ids: frozenset[int], offset: int, limit: int | None) -> list[PointerSummary]:
+        """One page of a result: its rows, in result order."""
         window = sorted(ids)[offset : offset + limit if limit is not None else None]
-        hits = self._hits
-        for sid in window:
-            if hits[sid] is None:
-                s = self.summaries[sid]
-                hits[sid] = QueryHit(s.domain, s.instance, s.service_path, s.geo)
-        return [hits[sid] for sid in window]
+        return [self.summaries[sid] for sid in window]
 
-    # -- node evaluation over the index --
+    # -- node evaluation over the index, one method per node kind --
 
-    def _term(self, node: Term) -> frozenset[int]:
+    def _term(self, node: Term, stats: ExecutionStats | None) -> frozenset[int]:
         if node.field in self.postings:
             return frozenset(self.postings[node.field].get(node.value, ()))
         return frozenset()
 
-    def _prefix(self, node: Prefix) -> frozenset[int]:
+    def _prefix(self, node: Prefix, stats: ExecutionStats | None) -> frozenset[int]:
         if node.field not in self.postings:
             return frozenset()
         keys = self.sorted_values[node.field]
@@ -405,7 +381,7 @@ class _Snapshot:
             result |= self.postings[node.field][keys[i]]
         return frozenset(result)
 
-    def _range(self, node: Range) -> frozenset[int]:
+    def _range(self, node: Range, stats: ExecutionStats | None) -> frozenset[int]:
         if node.field in GEO_FIELDS:
             values, ids = self.geo_axis[node.field]
             lo = bisect_left(values, node.from_) if node.include_from else bisect_right(values, node.from_)
@@ -421,80 +397,49 @@ class _Snapshot:
             result |= self.postings[node.field][key]
         return frozenset(result)
 
-    def _geo_range(self, node: GeoRange) -> frozenset[int]:
-        lat = self._range(Range("latitude", node.lat_from, node.lat_to))
-        lon = self._range(Range("longitude", node.lon_from, node.lon_to))
+    def _geo_range(self, node: GeoRange, stats: ExecutionStats | None) -> frozenset[int]:
+        lat = self._range(Range("latitude", node.lat_from, node.lat_to), stats)
+        lon = self._range(Range("longitude", node.lon_from, node.lon_to), stats)
         return lat & lon
 
-    def _wildcard(self, node: Wildcard) -> frozenset[int]:
+    def _wildcard(self, node: Wildcard, stats: ExecutionStats | None) -> frozenset[int]:
         result: set[int] = set()
         for path, ids in self.postings["service_path"].items():
             if match_service_path(node.pattern, path):
                 result |= ids
         return frozenset(result)
 
-    def evaluate(self, node: Query, cache: FilterCache | None = None, stats: ExecutionStats | None = None) -> frozenset[int]:
-        if cache is not None and cacheability(node):
-            key = canonical_key(node)
-            cached = cache.get(key, self.generation)
-            if cached is not None:
-                if stats is not None:
-                    stats.record(key, True)
-                return cached
-            result = self._compute(node, cache, stats)
-            cache.put(key, result, self.generation)
-            if stats is not None:
-                stats.record(key, False)
-            return result
-        return self._compute(node, cache, stats)
+    def _bool(self, node: Bool, stats: ExecutionStats | None) -> frozenset[int]:
+        if node.must:
+            result = self.universe
+            for sub in node.must:
+                result = result & self.evaluate(sub, stats)
+        elif node.should:
+            result = frozenset()
+            for sub in node.should:
+                result = result | self.evaluate(sub, stats)
+        else:
+            result = self.universe
+        for sub in node.must_not:
+            result = result - self.evaluate(sub, stats)
+        return result
 
-    def _compute(self, node: Query, cache: FilterCache | None, stats: ExecutionStats | None) -> frozenset[int]:
-        if isinstance(node, Term):
-            return self._term(node)
-        if isinstance(node, Prefix):
-            return self._prefix(node)
-        if isinstance(node, Range):
-            return self._range(node)
-        if isinstance(node, GeoRange):
-            return self._geo_range(node)
-        if isinstance(node, Wildcard):
-            return self._wildcard(node)
-        if isinstance(node, Bool):
-            if node.must:
-                result = self.universe
-                for sub in node.must:
-                    result = result & self.evaluate(sub, cache, stats)
-            elif node.should:
-                result = frozenset()
-                for sub in node.should:
-                    result = result | self.evaluate(sub, cache, stats)
-            else:
-                result = self.universe
-            for sub in node.must_not:
-                result = result - self.evaluate(sub, cache, stats)
-            return result
-        if isinstance(node, Filtered):
-            return self.evaluate(node.query, cache, stats) & self.evaluate(node.filter, cache, stats)
-        raise MalformedQuery(f"cannot evaluate {type(node).__name__}")
+    def _filtered(self, node: Filtered, stats: ExecutionStats | None) -> frozenset[int]:
+        return self.evaluate(node.query, stats) & self.evaluate(node.filter, stats)
+
+    def evaluate(self, node: Query, stats: ExecutionStats | None = None) -> frozenset[int]:
+        """A node's ids; with `stats`, through this snapshot's filter cache."""
+        if stats is None or not cacheability(node):
+            return getattr(self, "_" + node.kind)(node, stats)
+        result = self.cache.get(node)
+        stats.record(node, result is not None)
+        if result is None:
+            result = getattr(self, "_" + node.kind)(node, stats)
+            self.cache.put(node, result)
+        return result
 
 
 # --- the core -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class QueryHit:
-    domain: str
-    instance: str
-    service_path: str
-    geo: GeoPoint | None
-
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "instance": self.instance,
-            "service_path": self.service_path,
-            "geo": {"lat": self.geo.lat, "lon": self.geo.lon} if self.geo else None,
-        }
 
 
 class Digcovery:
@@ -514,7 +459,6 @@ class Digcovery:
         self._graves: dict[tuple, int] = {}
         self._generation = 0
         self._snapshot = _Snapshot([], 0)
-        self.cache = FilterCache()
 
     # -- domains --
 
@@ -530,20 +474,22 @@ class Digcovery:
 
     # -- ingest --
 
-    def ingest(self, domain: str, summaries: Iterable[PointerSummary]) -> int:
+    def ingest(self, domain: str, summaries: Sequence[PointerSummary]) -> int:
         """Apply a pointer batch from one domain's directory.
 
         Revision replay is idempotent: a summary at or below the stored
-        revision is ignored.  Removal markers drop the pointer.  Returns
-        how many entries changed the index.
+        revision is ignored.  Removal markers drop the pointer.  A batch
+        with a summary for another domain is refused whole.  Returns how
+        many entries changed the index.
         """
         with self._lock:
             if domain.lower() not in self._domains:
                 raise UnknownDomain(domain)
-            accepted = 0
             for summary in summaries:
                 if summary.domain.lower() != domain.lower():
                     raise ValueError(f"summary for {summary.domain!r} in batch for {domain!r}")
+            accepted = 0
+            for summary in summaries:
                 key = summary.key()
                 stored = self._current.get(key)
                 if summary.removed:
@@ -577,19 +523,19 @@ class Digcovery:
 
     # -- queries --
 
-    def execute(self, query: Query, *, offset: int = 0, limit: int | None = None) -> list[QueryHit]:
-        """Run a query tree; deterministic (domain, instance, service path) order."""
+    def execute(self, query: Query, *, offset: int = 0, limit: int | None = None) -> list[PointerSummary]:
+        """Run a query tree; the matching rows in (domain, instance, service
+        path) order."""
         snapshot = self._read()
-        return snapshot.hits(snapshot.evaluate(query), offset, limit)
+        return snapshot.page(snapshot.evaluate(query), offset, limit)
 
     def execute_cached(
         self, query: Query, *, offset: int = 0, limit: int | None = None
-    ) -> tuple[list[QueryHit], ExecutionStats]:
-        """Same contract as `execute`, with the filter cache engaged."""
+    ) -> tuple[list[PointerSummary], ExecutionStats]:
+        """Same contract as `execute`, with the snapshot's filter cache engaged."""
         snapshot = self._read()
         stats = ExecutionStats()
-        ids = snapshot.evaluate(query, self.cache, stats)
-        return snapshot.hits(ids, offset, limit), stats
+        return snapshot.page(snapshot.evaluate(query, stats), offset, limit), stats
 
     def discover(self, pattern: str) -> list[DomainRecord]:
         """Domains with at least one live pointer matching the path pattern."""

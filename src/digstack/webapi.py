@@ -74,18 +74,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self):
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            self.close_connection = True  # where this request ends is unknown
+            raise ValueError(f"bad Content-Length {length}")
         raw = self.rfile.read(length)
         return json.loads(raw) if raw else None
 
     def do_POST(self) -> None:
-        try:
-            body = self._body()
-        except (json.JSONDecodeError, ValueError) as err:
-            self._fail(400, "bad-request", str(err))
-            return
         path = urllib.parse.urlparse(self.path).path
         parts = [p for p in path.split("/") if p]
         try:
+            body = self._body()
             if parts == ["api", "v1", "domains"]:
                 self._register_domain(body)
             elif len(parts) == 5 and parts[:3] == ["api", "v1", "domains"] and parts[4] == "pointers":
@@ -98,7 +97,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._fail(409, "duplicate-domain", str(err))
         except UnknownDomain as err:
             self._fail(404, "unknown-domain", str(err))
-        except (MalformedQuery, MalformedPattern) as err:
+        except (MalformedQuery, MalformedPattern, RecursionError) as err:
             self._fail(400, "malformed-query", str(err))
         except (KeyError, TypeError, ValueError) as err:
             self._fail(400, "bad-request", str(err))
@@ -140,16 +139,26 @@ class _Handler(BaseHTTPRequestHandler):
             raw_limit = body.pop("limit", DEFAULT_PAGE_LIMIT)
             limit = None if raw_limit is None else int(raw_limit)
         query = parse_query(body)
-        hits, stats = self.core.execute_cached(query, offset=offset, limit=limit)
+        rows, stats = self.core.execute_cached(query, offset=offset, limit=limit)
         self._send(
             200,
             {
-                "results": [hit.to_dict() for hit in hits],
+                "results": [_result(row) for row in rows],
                 "offset": offset,
                 "limit": limit,
                 "cache": {"hits": stats.hits, "misses": stats.misses},
             },
         )
+
+
+def _result(row: PointerSummary) -> dict:
+    """One query result on the wire: the row's routing keys, in reply order."""
+    return {
+        "domain": row.domain,
+        "instance": row.instance,
+        "service_path": row.service_path,
+        "geo": {"lat": row.geo.lat, "lon": row.geo.lon} if row.geo else None,
+    }
 
 
 class DigcoveryHttpServer:

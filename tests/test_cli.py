@@ -378,6 +378,51 @@ def test_daemon_exits_one_on_a_bad_journal_line(tmp_path):
         stop(proc)
 
 
+def test_failed_publish_is_reported_and_the_daemon_keeps_serving(tmp_path):
+    journal = tmp_path / "daemon.journal"
+    journal.write_text("")
+    lookup, ready = spawn(["digcovery", "--listen", "127.0.0.1:0", "--dns-listen", "127.0.0.1:0"])
+    try:
+        directory_proc, _ = spawn(
+            [
+                "--digcovery",
+                ready["http"],
+                "digrectory",
+                "--domain",
+                fixtures.DOMAIN,
+                "--listen",
+                "127.0.0.1:0",
+                "--journal",
+                str(journal),
+                "--publish",
+                "--publish-interval",
+                "0.1",
+            ]
+        )
+    finally:
+        stop(lookup)
+    lines: queue.Queue = queue.Queue()
+
+    def read_stderr() -> None:
+        for line in directory_proc.stderr:
+            lines.put(line)
+
+    reader = threading.Thread(target=read_stderr, daemon=True)
+    reader.start()
+    try:
+        # the lookup service is gone, so publishing this entry fails every tick
+        registered = run_verb("register", entry_file(tmp_path), "--journal", str(journal))
+        assert registered.returncode == 0, registered.stderr
+        for _ in range(2):
+            assert lines.get(timeout=15).startswith("digstack: publish: ")
+        assert directory_proc.poll() is None
+    finally:
+        directory_proc.terminate()
+        directory_proc.wait(timeout=10)
+        reader.join(timeout=10)
+        stop(directory_proc)
+
+
 def test_demo_script_runs():
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import socket
@@ -25,14 +26,13 @@ from digstack.digcovery import (
     PointerSummary,
     Prefix,
     Query,
-    QueryHit,
     Range,
     Term,
     UnknownDomain,
     Wildcard,
     cacheability,
-    canonical_key,
     match_service_path,
+    node_kind,
     parse_query,
 )
 from digstack.dnscodec import DnsHeader, DnsMessage, DomainName, Question, RType, decode, encode
@@ -62,7 +62,7 @@ def make_core(summaries=None, domains=DOMAINS) -> Digcovery:
     return core
 
 
-def hit_keys(hits: list[QueryHit]) -> list[tuple[str, str, str]]:
+def hit_keys(hits: list[PointerSummary]) -> list[tuple[str, str, str]]:
     return [(h.domain, h.instance, h.service_path) for h in hits]
 
 
@@ -199,23 +199,34 @@ def test_cacheability_kind_strings():
         cacheability("fuzzy")
 
 
-def test_canonical_key_only_for_cacheable_kinds():
-    assert canonical_key(Term("rt", "light")) == ("term", "rt", "light")
-    with pytest.raises(MalformedQuery):
-        canonical_key(Bool())
+@pytest.mark.parametrize(
+    "kind,body",
+    [
+        ("term", {"rt": "light"}),
+        ("prefix", {"instance": "li"}),
+        ("range", {"instance": {"from": "a", "to": "b"}}),
+        ("bool", {}),
+        ("filtered", {}),
+        ("geo_range", {"latitude": {"from": 0, "to": 1}, "longitude": {"from": 0, "to": 1}}),
+        ("wildcard", "*.*"),
+    ],
+)
+def test_node_kind_is_the_dsl_kind(kind, body):
+    # the benchmark's tracer names its per-kind metrics by these strings
+    assert node_kind(parse_query({kind: body})) == kind
 
 
 def test_filter_cache_lru_and_invalidation():
     cache = FilterCache(capacity=2)
-    cache.put(("term", "rt", "a"), frozenset({1}))
-    cache.put(("term", "instance", "b"), frozenset({2}))
-    assert cache.get(("term", "rt", "a")) == frozenset({1})
-    cache.put(("prefix", "rt", "c"), frozenset({3}))  # evicts the LRU entry
-    assert cache.get(("term", "instance", "b")) is None
-    assert cache.get(("term", "rt", "a")) == frozenset({1})
-    # a lookup on a newer snapshot generation drops every older entry
-    assert cache.get(("term", "rt", "a"), generation=1) is None
-    assert len(cache) == 0
+    cache.put(Term("rt", "a"), frozenset({1}))
+    cache.put(Term("instance", "b"), frozenset({2}))
+    assert cache.get(Term("rt", "a")) == frozenset({1})
+    cache.put(Prefix("rt", "c"), frozenset({3}))  # evicts the LRU entry
+    assert cache.get(Term("instance", "b")) is None
+    assert cache.get(Term("rt", "a")) == frozenset({1})
+    # an equal node is the same key; a node of another kind is not
+    assert cache.get(Prefix("rt", "a")) is None
+    assert len(cache) == 2
 
 
 def test_execute_cached_transparent(campus):
@@ -225,8 +236,8 @@ def test_execute_cached_transparent(campus):
     second, stats2 = campus.execute_cached(query)
     assert first == plain == second
     # the term filter caches, the latitude range never does
-    assert stats1.events == [(("term", "rt", "light"), False)]
-    assert stats2.events == [(("term", "rt", "light"), True)]
+    assert stats1.events == [(Term("rt", "light"), False)]
+    assert stats2.events == [(Term("rt", "light"), True)]
 
 
 def test_ingest_invalidates_touched_fields(campus):
@@ -275,6 +286,15 @@ def test_ingest_rejects_foreign_summaries():
     core = make_core()
     with pytest.raises(ValueError):
         core.ingest("rd.other.org", [summary(domain="rd.esiot.com")])
+
+
+def test_refused_ingest_batch_changes_nothing():
+    core = make_core()
+    with pytest.raises(ValueError):
+        core.ingest("rd.esiot.com", [summary("x"), summary("y", domain="rd.other.org")])
+    # an accepted batch, even for another domain, must not reveal the refused one
+    assert core.ingest("rd.other.org", [summary("z", domain="rd.other.org")]) == 1
+    assert [h.instance for h in core.execute(Bool())] == ["z"]
 
 
 def test_ingest_revision_gating():
@@ -464,18 +484,20 @@ def test_cache_entry_from_a_replaced_snapshot_is_never_served(c_rt, lights_befor
     core = make_core(domains=("rd.esiot.com",))
     core.ingest("rd.esiot.com", [summary("a"), summary("b"), summary("c", rt=c_rt)])
     query = Term("rt", "light")
-    lookup = core.cache.get
+    cache = core._read().cache  # the cache of the snapshot the first reader holds
+    lookup = cache.get
 
-    def get_then_withdraw(key, *args):
-        core.cache.get = lookup
+    def get_then_withdraw(node):
+        cache.get = lookup
         core.ingest("rd.esiot.com", [summary("a", rev=2, removed=True)])
         if newer_reader_first:
             newer, _ = core.execute_cached(query)
             assert {h.instance for h in newer} == lights_after
-        return lookup(key, *args)
+        return lookup(node)
 
-    core.cache.get = get_then_withdraw
+    cache.get = get_then_withdraw
     during, _ = core.execute_cached(query)
+    assert cache.get is lookup  # the hook ran
     assert {h.instance for h in during} == lights_before
 
     after, _ = core.execute_cached(query)
@@ -560,7 +582,34 @@ def test_http_error_paths(served):
     )
     with pytest.raises(urllib.error.HTTPError) as raw_err:
         urllib.request.urlopen(req, timeout=5)
+    raw_err.value.close()
     assert raw_err.value.code == 400
+
+
+def test_deeply_nested_query_is_a_malformed_query(served):
+    core, client = served
+    depth = 900
+    body = '{"bool": {"must": [' * depth + '{"term": {"rt": "light"}}' + "]}}" * depth
+    req = urllib.request.Request(client.base_url + "/api/v1/query", data=body.encode(), method="POST")
+    with pytest.raises(urllib.error.HTTPError) as raw_err:
+        urllib.request.urlopen(req, timeout=5)
+    reply = json.loads(raw_err.value.read())
+    raw_err.value.close()
+    assert raw_err.value.code == 400 and reply["error"] == "malformed-query"
+    # the same server still answers a valid query
+    assert client.query({"bool": {}})["results"] == []
+
+
+def test_negative_content_length_is_a_bad_request(served):
+    _, client = served
+    host, port = client.base_url.rsplit("/", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=3) as sock:
+        sock.sendall(b"POST /api/v1/query HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n")
+        reply = http.client.HTTPResponse(sock)
+        reply.begin()
+        body = json.loads(reply.read())
+        reply.close()
+    assert reply.status == 400 and body["error"] == "bad-request"
 
 
 def test_pointer_batch_item_that_is_not_an_object_is_a_bad_request(served, capsys):
