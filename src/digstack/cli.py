@@ -352,7 +352,7 @@ def cmd_expand_txt(args) -> int:
         meta = expand_txt(args.data)
     except (SemanticsError, ValueError) as err:
         return _fail(str(err))
-    _emit(args, meta.to_dict(), to_txt(meta)[0])
+    _emit(args, meta.to_dict(), to_txt(meta))
     return OK
 
 

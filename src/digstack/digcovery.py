@@ -455,8 +455,8 @@ class Digcovery:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._domains: dict[str, DomainRecord] = {}
-        self._current: dict[tuple, PointerSummary] = {}
-        self._graves: dict[tuple, int] = {}
+        # every key ever ingested; a removed row keeps blocking stale replays
+        self._pointers: dict[tuple, PointerSummary] = {}
         self._generation = 0
         self._snapshot = _Snapshot([], 0)
 
@@ -478,9 +478,10 @@ class Digcovery:
         """Apply a pointer batch from one domain's directory.
 
         Revision replay is idempotent: a summary at or below the stored
-        revision is ignored.  Removal markers drop the pointer.  A batch
-        with a summary for another domain is refused whole.  Returns how
-        many entries changed the index.
+        revision is ignored.  A removal marker drops the pointer and is
+        stored in its place, so a stale replay of the pointer is ignored
+        too.  A batch with a summary for another domain is refused whole.
+        Returns how many summaries changed the set of live pointers.
         """
         with self._lock:
             if domain.lower() not in self._domains:
@@ -490,22 +491,10 @@ class Digcovery:
                     raise ValueError(f"summary for {summary.domain!r} in batch for {domain!r}")
             accepted = 0
             for summary in summaries:
-                key = summary.key()
-                stored = self._current.get(key)
-                if summary.removed:
-                    newer_than_stored = stored is None or summary.revision > stored.revision
-                    if stored is not None and newer_than_stored:
-                        del self._current[key]
-                        accepted += 1
-                    if newer_than_stored:
-                        self._graves[key] = max(self._graves.get(key, -1), summary.revision)
-                    continue
-                if stored is not None and summary.revision <= stored.revision:
-                    continue
-                if stored is None and summary.revision <= self._graves.get(key, -1):
-                    continue
-                self._current[key] = summary
-                accepted += 1
+                stored = self._pointers.get(key := summary.key())
+                if stored is None or summary.revision > stored.revision:
+                    self._pointers[key] = summary
+                    accepted += not summary.removed or (stored is not None and not stored.removed)
             if accepted:
                 self._generation += 1
             return accepted
@@ -516,7 +505,8 @@ class Digcovery:
         if snapshot.generation != self._generation:
             with self._lock:
                 if self._snapshot.generation != self._generation:
-                    rows = [self._current[key] for key in sorted(self._current)]
+                    table = self._pointers
+                    rows = [table[key] for key in sorted(table) if not table[key].removed]
                     self._snapshot = _Snapshot(rows, self._generation)
                 snapshot = self._snapshot
         return snapshot

@@ -6,10 +6,10 @@ over DNS with optimized replies (answer section only, compressed).  The
 directory keeps a revision counter so the pointer publisher can ship
 deltas to the global lookup service and prune acknowledged tombstones.
 
-With a journal, the journal is the source of truth: a registration or
-withdraw is appended to it and reaches the directory only by reading the
-journal back, so every process that reads the same journal agrees on
-entries and revisions.
+With a journal, the journal is the source of truth: every change, from
+any source (a file, the handshake, EPCIS, expiry), is appended to it and
+takes effect only when the journal is read back, so every reader of the
+journal agrees on entries, revisions and tombstones.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class DirectoryEntry:
             self.instance.lower(),
             self.ptr_paths,
             self.srv,
-            tuple(to_txt(self.meta)),
+            to_txt(self.meta),
             self.addr6,
             self.addr4,
             self.ttl,
@@ -194,46 +194,60 @@ class Digrectory:
 
     # -- registration --
 
-    def register(self, entry: DirectoryEntry, *, journal: bool = True) -> str:
+    def register(self, entry: DirectoryEntry) -> str:
         """Admit or refresh an entry; returns created/updated/refreshed.
 
-        On a journaled directory every registration, a refresh included, is
-        appended to the journal and applied from there, so every reader of
-        the journal sees the refresh too.  A refresh leaves the revision alone.
+        A journaled directory applies the change, a refresh included, when
+        `follow_journal` reads it back; any other applies it at once.  A
+        refresh leaves the revision alone.
         """
-        if entry.domain.lower() != self.domain.lower():
-            raise DomainMismatch(f"{entry.domain!r} registered with the {self.domain!r} directory")
-        key = entry.instance.lower()
-        stored = self._entries.get(key)
-        entry.last_seen = self.clock()
-        if stored is not None and stored.content_key() == entry.content_key():
-            outcome = "refreshed"
-        else:
-            outcome = "updated" if stored is not None else "created"
-        if journal and self._journal_path is not None:
-            self._append_journal({"op": "register", "entry": entry.to_dict()})
-            return outcome
-        if outcome == "refreshed":
-            stored.last_seen = entry.last_seen
-            return outcome
-        with self._lock:
-            self._revision += 1
-            entry.revision = self._revision
-            self._entries[key] = entry
+        if self._journal_path is None:
+            return self._apply_register(entry)
+        outcome = self._outcome(entry)  # checks the domain, so a foreign entry is never journaled
+        self._append_journal({"op": "register", "entry": entry.to_dict()})
         return outcome
 
-    def withdraw(self, instance: str, *, journal: bool = True) -> DirectoryEntry:
-        key = instance.lower()
-        entry = self._entries.get(key)
-        if entry is None:
-            raise UnknownInstance(instance)
-        if journal and self._journal_path is not None:
-            self._append_journal({"op": "withdraw", "instance": entry.instance})
-            return entry
+    def withdraw(self, instance: str) -> DirectoryEntry:
+        """Remove an entry and tombstone its pointers; journaled as `register` is."""
+        if self._journal_path is None:
+            return self._apply_withdraw(instance)
+        entry = self.get(instance)
+        self._append_journal({"op": "withdraw", "instance": entry.instance})
+        return entry
+
+    def _outcome(self, entry: DirectoryEntry) -> str:
+        if entry.domain.lower() != self.domain.lower():
+            raise DomainMismatch(f"{entry.domain!r} registered with the {self.domain!r} directory")
+        stored = self._entries.get(entry.instance.lower())
+        if stored is None:
+            return "created"
+        return "refreshed" if stored.content_key() == entry.content_key() else "updated"
+
+    def _apply_register(self, entry: DirectoryEntry) -> str:
+        """With `_apply_withdraw`, the only writer of entries, revision and tombstones."""
+        now = self.clock()
         with self._lock:
-            del self._entries[key]
+            outcome = self._outcome(entry)
+            stored = self._entries.get(key := entry.instance.lower())
+            if outcome == "refreshed":
+                stored.last_seen = now
+                return outcome
             self._revision += 1
-        self._tombstones += self._pointers(entry, self._revision, removed=True)
+            entry.revision, entry.last_seen = self._revision, now
+            self._entries[key] = entry
+            if stored is not None:  # tombstone what the update drops: a path, or the old spelling
+                carried = {p.key() for p in self._pointers(entry, self._revision)}
+                dropped = self._pointers(stored, self._revision, removed=True)
+                self._tombstones += [t for t in dropped if t.key() not in carried]
+        return outcome
+
+    def _apply_withdraw(self, instance: str) -> DirectoryEntry:
+        with self._lock:
+            entry = self._entries.pop(instance.lower(), None)
+            if entry is None:
+                raise UnknownInstance(instance)
+            self._revision += 1
+            self._tombstones += self._pointers(entry, self._revision, removed=True)
         return entry
 
     def expire_stale(self) -> list[DirectoryEntry]:
@@ -294,9 +308,9 @@ class Digrectory:
                 try:
                     op = json.loads(line)
                     if op["op"] == "register":
-                        self.register(DirectoryEntry.from_dict(op["entry"]), journal=False)
+                        self._apply_register(DirectoryEntry.from_dict(op["entry"]))
                     elif op["op"] == "withdraw":
-                        self.withdraw(op["instance"], journal=False)
+                        self._apply_withdraw(op["instance"])
                     else:
                         raise ValueError(f"unknown op {op['op']!r}")
                 except (AttributeError, KeyError, TypeError, ValueError, DirectoryError) as err:
@@ -361,8 +375,7 @@ class Digrectory:
                 if rrtype == RType.SRV and qname == DomainName.from_text(entry.instance_name):
                     answers = [ResourceRecord(qname, RType.SRV, entry.ttl, entry.srv)]
                 elif rrtype == RType.TXT:
-                    strings = tuple(s.encode("utf-8") for s in to_txt(entry.meta))
-                    answers = [ResourceRecord(qname, RType.TXT, entry.ttl, strings)]
+                    answers = [ResourceRecord(qname, RType.TXT, entry.ttl, (to_txt(entry.meta).encode("utf-8"),))]
                 elif rrtype == RType.AAAA and entry.addr6:
                     answers = [ResourceRecord(qname, RType.AAAA, entry.ttl, entry.addr6)]
                 elif rrtype == RType.A and entry.addr4:
@@ -546,7 +559,7 @@ class EpcisDriver:
                 ttl=meta.lt,
                 origin="epcis",
             )
-            if self.directory.register(entry, journal=False) != "refreshed":
+            if self.directory.register(entry) != "refreshed":
                 changed += 1
         return changed
 
@@ -554,23 +567,21 @@ class EpcisDriver:
         attributes = self.epcis.tags.get(epc, {})
         instance = _epc_instance(epc, attributes)
         self.epcis.decommission(epc)
-        self.directory.withdraw(instance, journal=False)
+        self.directory.withdraw(instance)
         self.mapper.remove(epc)
 
     # -- resolution, two ways --
 
     def resolve(self, epc: str, via: str = "api") -> ResolvedTag:
-        if via == "api":
-            return self._resolve_api(epc)
-        if via == "dns":
-            return self._resolve_dns(epc)
-        raise ValueError(f"unknown resolution path {via!r}")
-
-    def _resolve_api(self, epc: str) -> ResolvedTag:
-        attributes = self.epcis.tags.get(epc)
-        if attributes is None:
+        if via not in ("api", "dns"):
+            raise ValueError(f"unknown resolution path {via!r}")
+        if epc not in self.epcis.tags:
             raise UnknownInstance(epc)
-        entry = self.directory.get(_epc_instance(epc, attributes))
+        instance = _epc_instance(epc, self.epcis.tags[epc])
+        return self._resolve_api(instance) if via == "api" else self._resolve_dns(epc, instance)
+
+    def _resolve_api(self, instance: str) -> ResolvedTag:
+        entry = self.directory.get(instance)
         return ResolvedTag(
             instance_name=entry.instance_name,
             addr6=str(ipaddress.IPv6Address(entry.addr6)),
@@ -578,11 +589,7 @@ class EpcisDriver:
             meta=entry.meta,
         )
 
-    def _resolve_dns(self, epc: str) -> ResolvedTag:
-        attributes = self.epcis.tags.get(epc)
-        if attributes is None:
-            raise UnknownInstance(epc)
-        instance = _epc_instance(epc, attributes)
+    def _resolve_dns(self, epc: str, instance: str) -> ResolvedTag:
         name = DomainName.from_text(f"{instance}.{self.directory.domain}")
 
         def ask(rrtype: RType, owner: DomainName) -> ResourceRecord:

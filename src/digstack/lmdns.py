@@ -129,8 +129,7 @@ def answer_query(profile: SmartObjectProfile, query: DnsMessage) -> DnsMessage |
         elif q.rrtype == RType.SRV and q.name == instance_name:
             answers.append(ResourceRecord(q.name, RType.SRV, profile.ttl, profile.srv_data()))
         elif q.rrtype == RType.TXT and q.name in (instance_name, host_name):
-            joined = to_txt(profile.meta)[0].encode("utf-8")
-            answers.append(ResourceRecord(q.name, RType.TXT, profile.ttl, (joined,)))
+            answers.append(ResourceRecord(q.name, RType.TXT, profile.ttl, (to_txt(profile.meta).encode("utf-8"),)))
         elif q.rrtype == RType.AAAA and q.name in (instance_name, host_name):
             answers.append(ResourceRecord(q.name, RType.AAAA, profile.ttl, profile.addr6))
         elif q.rrtype == RType.A and q.name in (instance_name, host_name) and profile.addr4 is not None:

@@ -126,7 +126,7 @@ def _core_pairs(meta: ServiceMetadata) -> list[tuple[str, str]]:
     ]
 
 
-def to_txt(meta: ServiceMetadata) -> list[str]:
+def to_txt(meta: ServiceMetadata) -> str:
     """Render metadata as one TXT character-string: core pairs, extras,
     verbs, in that order."""
     pairs = [f"{k}={v}" for k, v in _core_pairs(meta)]
@@ -134,7 +134,7 @@ def to_txt(meta: ServiceMetadata) -> list[str]:
     joined = ";".join(pairs + list(meta.verbs))
     if len(joined.encode("utf-8")) > MAX_TXT_STRING:
         raise StringTooLong(f"TXT string of {len(joined.encode())} bytes (limit {MAX_TXT_STRING})")
-    return [joined]
+    return joined
 
 
 def from_txt(strings: list[str] | tuple[str, ...]) -> ServiceMetadata:

@@ -138,6 +138,8 @@ class _Handler(BaseHTTPRequestHandler):
             offset = int(body.pop("offset", 0))
             raw_limit = body.pop("limit", DEFAULT_PAGE_LIMIT)
             limit = None if raw_limit is None else int(raw_limit)
+        if offset < 0 or (limit is not None and limit < 0):
+            raise ValueError(f"negative offset or limit ({offset}, {limit})")
         query = parse_query(body)
         rows, stats = self.core.execute_cached(query, offset=offset, limit=limit)
         self._send(

@@ -325,6 +325,36 @@ def test_tombstone_removes_and_blocks_replay():
     assert len(core.execute(Bool())) == 1
 
 
+def _live(row):
+    return None if row is None or row.removed else row
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.sampled_from("abc"), st.integers(0, 4), st.booleans(), st.sampled_from(("light", "video"))),
+            max_size=5,
+        ),
+        max_size=6,
+    )
+)
+def test_ingest_keeps_the_highest_revision_per_key(batches):
+    core = make_core()
+    winners: dict[str, PointerSummary] = {}  # per key, the first row of the highest revision
+    for batch in batches:
+        rows = [summary(instance, rev=rev, removed=removed, rt=rt) for instance, rev, removed, rt in batch]
+        changed = 0
+        for row in rows:
+            old = winners.get(row.instance)
+            if old is None or row.revision > old.revision:
+                winners[row.instance] = row
+                changed += _live(old) != _live(row)
+        assert core.ingest("rd.esiot.com", rows) == changed
+        live = sorted((r for r in winners.values() if not r.removed), key=lambda r: r.instance)
+        assert core.execute(Bool()) == live
+
+
 def test_register_domain_conflicts():
     core = make_core()
     with pytest.raises(DuplicateDomain):
@@ -584,6 +614,16 @@ def test_http_error_paths(served):
         urllib.request.urlopen(req, timeout=5)
     raw_err.value.close()
     assert raw_err.value.code == 400
+
+
+@pytest.mark.parametrize("page", [{"offset": -2}, {"limit": -1}])
+def test_negative_offset_or_limit_is_a_bad_request(served, page):
+    _, client = served
+    client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
+    client.publish_pointers("rd.esiot.com", fixtures.campus_summaries())
+    with pytest.raises(ApiError) as err:
+        client.query({"bool": {}}, **page)
+    assert err.value.status == 400 and err.value.error == "bad-request"
 
 
 def test_deeply_nested_query_is_a_malformed_query(served):

@@ -409,6 +409,31 @@ def test_publisher_full_then_delta(lookup_service):
     assert d.pending_tombstones() == []  # pruned after the ack
 
 
+def test_update_tombstones_the_pointers_it_drops(lookup_service):
+    core, client = lookup_service
+    d = make_directory()
+    publisher = PointerPublisher(d, client)
+    assert publisher.publish() == 5
+    narrowed = fixtures.light_lab_entry()
+    narrowed.ptr_paths = (fixtures.SERVICE_PATH,)
+    assert d.register(narrowed) == "updated"
+    publisher.publish()
+    assert [r.service_path for r in core.execute(Term("instance", "light_lab"))] == [fixtures.SERVICE_PATH]
+    assert core.discover("_x10.*") == []
+
+    # a new spelling of the instance name replaces the old spelling's pointer
+    renamed = fixtures.light_lab_entry()
+    renamed.instance, renamed.ptr_paths = "Light_Lab", (fixtures.SERVICE_PATH,)
+    renamed.geo = GeoPoint(38.0, -1.15)
+    assert d.register(renamed) == "updated"
+    publisher.publish()
+    assert [r.instance for r in core.execute(Wildcard("*.*"))] == ["Light_Lab"]
+
+    d.withdraw("light_lab")
+    publisher.publish()
+    assert core.execute(Wildcard("*.*")) == []
+
+
 def test_publisher_keeps_state_when_unreachable(lookup_service):
     core, client = lookup_service
     d = make_directory()
@@ -502,6 +527,36 @@ def test_driver_sync_and_two_path_resolution():
 
     with pytest.raises(ValueError):
         driver.resolve(list(epcis.tags)[0], via="carrier-pigeon")
+
+
+def test_expired_epcis_tag_leaves_a_journal_that_replays(tmp_path):
+    path = tmp_path / "directory.journal"
+    clock = FakeClock()
+    d = Digrectory(fixtures.DOMAIN, clock=clock, journal_path=str(path))
+    epcis = MockEpcis()
+    epcis.capture("urn:epc:id:sgtin:0614141.1.2", dict(tag_attributes(), lt=60))
+    assert EpcisDriver(epcis, d).sync() == 1
+    clock.now += 61
+    assert [e.instance for e in d.expire_stale()] == ["tag_0614141_1_2"]
+    reborn = Digrectory(fixtures.DOMAIN, clock=FakeClock(), journal_path=str(path))
+    assert reborn.live_entries() == [] and journal_state(reborn) == journal_state(d)
+
+
+def test_follower_of_an_epcis_writer_holds_what_the_writer_holds(tmp_path):
+    path = tmp_path / "directory.journal"
+    follower = Digrectory(fixtures.DOMAIN, clock=FakeClock(), journal_path=str(path))
+    writer = Digrectory(fixtures.DOMAIN, clock=FakeClock(), journal_path=str(path))
+    writer.register(fixtures.light_lab_entry())
+    epcis = MockEpcis()
+    for i in range(3):
+        epcis.capture(f"urn:epc:id:sgtin:0614141.107346.{i}", tag_attributes(i))
+    driver = EpcisDriver(epcis, writer)
+    assert driver.sync() == 3
+    assert driver.sync() == 0
+    driver.expire_tag("urn:epc:id:sgtin:0614141.107346.0")
+    follower.follow_journal()
+    assert journal_state(follower) == journal_state(writer)
+    assert len(follower.live_entries()) == 3 and follower.revision == 5
 
 
 def test_driver_expire_tag_withdraws_everywhere():

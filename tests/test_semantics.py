@@ -51,7 +51,7 @@ _metadata = st.builds(
 
 
 def test_single_mode_matches_reference_transcript():
-    assert to_txt(fixtures.dimmer_metadata()) == [fixtures.JOINED_TXT.decode()]
+    assert to_txt(fixtures.dimmer_metadata()) == fixtures.JOINED_TXT.decode()
 
 
 def test_multi_mode_matches_reference_transcript():
@@ -60,7 +60,7 @@ def test_multi_mode_matches_reference_transcript():
 
 def test_single_mode_minimal():
     meta = ServiceMetadata(rt="x", ins=1, lt=1, model="m", if_="i")
-    assert to_txt(meta) == ["rt=x;ins=1;lt=1;model=m;if=i"]
+    assert to_txt(meta) == "rt=x;ins=1;lt=1;model=m;if=i"
 
 
 def test_from_txt_requires_rt():
@@ -100,7 +100,7 @@ def test_metadata_validation():
 @settings(max_examples=200, deadline=None)
 @given(_metadata)
 def test_txt_roundtrip_single(meta):
-    assert from_txt(to_txt(meta)) == meta
+    assert from_txt([to_txt(meta)]) == meta
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,7 +140,7 @@ def test_compact_roundtrip_and_shrinkage(meta):
     compact = compact_txt(meta)
     if not compact.truncated:
         assert expand_txt(compact.data) == meta
-    single = to_txt(meta)[0].encode()
+    single = to_txt(meta).encode()
     assert len(compact.data) < len(single)
 
 
