@@ -109,7 +109,7 @@ def main() -> None:
         print()
         print(f"frame budget: {netsim.FRAME_SIZE}-byte frames, {netsim.FrameBudget().overhead}-byte overhead")
         for label, original, optimized in fixtures.frame_comparison_pairs():
-            orig, opt = netsim.simulate_exchange([original, optimized]).messages
+            orig, opt = netsim.simulate_exchange([original, optimized])
             print(
                 f"  {label:<10} {orig.frames} frame(s) -> {opt.frames},"
                 f" {orig.nbytes - opt.nbytes} bytes saved"

@@ -309,7 +309,7 @@ def cmd_compare_frames(args) -> int:
     band = range(netsim.MIN_OVERHEAD, netsim.MAX_OVERHEAD + 1, 5)
     rows = []
     for label, original, optimized in fixtures.frame_comparison_pairs():
-        orig, opt = netsim.simulate_exchange([original, optimized], budget).messages
+        orig, opt = netsim.simulate_exchange([original, optimized], budget)
         rows.append(
             {
                 "pair": label,

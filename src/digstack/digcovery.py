@@ -46,6 +46,9 @@ class MalformedPattern(DigcoveryError):
     pass
 
 
+_NUMBER = (int, float)  # the types of a JSON number; a bool is neither
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     lat: float
@@ -85,16 +88,18 @@ class PointerSummary:
     def from_dict(cls, data: dict) -> PointerSummary:
         if not isinstance(data, dict):
             raise TypeError(f"a pointer summary is a JSON object, not {type(data).__name__}")
+        instance, path, domain, rt = data["instance"], data["service_path"], data["domain"], data.get("rt", "")
+        if not (isinstance(instance, str) and isinstance(path, str)
+                and isinstance(domain, str) and isinstance(rt, str)):
+            raise TypeError("instance, service_path, domain and rt must be strings")
         geo = data.get("geo")
-        return cls(
-            instance=data["instance"],
-            service_path=data["service_path"],
-            domain=data["domain"],
-            rt=data.get("rt", ""),
-            geo=GeoPoint(geo["lat"], geo["lon"]) if geo else None,
-            revision=int(data.get("revision", 0)),
-            removed=bool(data.get("removed", False)),
-        )
+        if geo:
+            lat, lon = geo["lat"], geo["lon"]
+            if type(lat) not in _NUMBER or type(lon) not in _NUMBER:
+                raise TypeError("geo lat and lon must be numbers")
+            geo = GeoPoint(lat, lon)
+        revision, removed = int(data.get("revision", 0)), bool(data.get("removed", False))
+        return cls(instance, path, domain, rt, geo or None, revision, removed)
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,8 @@ class DomainRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> DomainRecord:
+        if not (isinstance(data["domain"], str) and isinstance(data["host"], str)):
+            raise TypeError("domain and host must be strings")
         return cls(
             domain=data["domain"],
             host=data["host"],

@@ -34,7 +34,6 @@ from .dnscodec import (
     SrvData,
     response_for,
 )
-from .lmdns import InstanceRecords
 from .semantics import ServiceMetadata, from_txt, to_txt
 from .webapi import HttpDigcoveryClient
 
@@ -149,12 +148,13 @@ class DirectoryEntry:
 
 
 def entry_from_instance_records(
-    records: InstanceRecords,
+    records,
     domain: str,
     ptr_paths: Iterable[str],
     geo: Optional[GeoPoint] = None,
 ) -> DirectoryEntry:
-    """Adopt what the mDNS handshake resolved into a directory entry."""
+    """Adopt what the mDNS handshake resolved (`lmdns.InstanceRecords`)
+    into a directory entry."""
     return DirectoryEntry(
         instance=records.instance.split(".")[0],
         domain=domain,
@@ -284,10 +284,11 @@ class Digrectory:
         """Apply every complete journal line past the offset, in file order.
 
         A last line without its newline is still being written and waits
-        for the next call.  A bad line raises `ParseError` with its line
-        number and stays unapplied.  A journal that was emptied, cut short
-        or replaced by another file (log rotation) is read again from its
-        start; the entries already held stay.
+        for the next call.  A withdraw of an entry not held is a no-op.  A
+        bad line raises `ParseError` with its line number and stays
+        unapplied.  A journal that was emptied, cut short or replaced by
+        another file (log rotation) is read again from its start; the
+        entries already held stay.
         """
         if self._journal_path is None:
             return
@@ -310,7 +311,9 @@ class Digrectory:
                     if op["op"] == "register":
                         self._apply_register(DirectoryEntry.from_dict(op["entry"]))
                     elif op["op"] == "withdraw":
-                        self._apply_withdraw(op["instance"])
+                        # another follower of this journal may have withdrawn it first
+                        if op["instance"].lower() in self._entries:
+                            self._apply_withdraw(op["instance"])
                     else:
                         raise ValueError(f"unknown op {op['op']!r}")
                 except (AttributeError, KeyError, TypeError, ValueError, DirectoryError) as err:
@@ -564,10 +567,10 @@ class EpcisDriver:
         return changed
 
     def expire_tag(self, epc: str) -> None:
-        attributes = self.epcis.tags.get(epc, {})
-        instance = _epc_instance(epc, attributes)
+        """Withdraw a tag's entry, then decommission the tag; a tag the
+        directory does not hold raises `UnknownInstance` and changes nothing."""
+        self.directory.withdraw(_epc_instance(epc, self.epcis.tags.get(epc, {})))
         self.epcis.decommission(epc)
-        self.directory.withdraw(instance)
         self.mapper.remove(epc)
 
     # -- resolution, two ways --

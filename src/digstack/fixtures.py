@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import ipaddress
 
+from .digcovery import GeoPoint, PointerSummary
+from .digrectory import DirectoryEntry
 from .dnscodec import (
     DnsHeader,
     DnsMessage,
@@ -201,9 +203,7 @@ CAMPUS_BOX = {
 }
 
 
-def campus_summaries() -> list:
-    from .digcovery import GeoPoint, PointerSummary
-
+def campus_summaries() -> list[PointerSummary]:
     return [
         PointerSummary(
             instance=INSTANCE,
@@ -267,19 +267,8 @@ def campus_box_query() -> dict:
     }
 
 
-def light_lab_entry():
+def light_lab_entry() -> DirectoryEntry:
     """The lab light as its directory holds it, geo-tagged to the courtyard."""
-    from .digcovery import GeoPoint
-    from .digrectory import DirectoryEntry
-
-    return DirectoryEntry(
-        instance=INSTANCE,
-        domain=DOMAIN,
-        ptr_paths=(SERVICE_PATH,) + SERVICE_ALIASES,
-        srv=SrvData(priority=0, capacity=0, port=1234, target=_name(HOSTNAME)),
-        meta=dimmer_metadata(),
-        addr6=HOST_ADDR6,
-        addr4=HOST_ADDR4,
-        ttl=604800,
-        geo=GeoPoint(37.998, -1.141),
-    )
+    entry = light_lab_profile().entry()
+    entry.geo = GeoPoint(37.998, -1.141)
+    return entry

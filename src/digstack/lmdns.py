@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol
 
+from .digrectory import Digrectory, DirectoryEntry
 from .dnscodec import (
     CodecError,
     DnsHeader,
@@ -26,9 +27,8 @@ from .dnscodec import (
     SrvData,
     decode,
     encode,
-    response_for,
 )
-from .semantics import ServiceMetadata, from_txt, to_txt
+from .semantics import ServiceMetadata, from_txt
 
 MDNS_GROUP = "224.0.0.251"
 MDNS_PORT = 5353
@@ -92,66 +92,46 @@ class SmartObjectProfile:
     def instance_name(self) -> DomainName:
         return DomainName.from_text(f"{self.instance}.{self.domain}")
 
-    @property
-    def host_name(self) -> DomainName:
-        if self.hostname:
-            return DomainName.from_text(self.hostname)
-        return self.instance_name
-
-    def ptr_owner_names(self) -> list[DomainName]:
-        """Names this object answers PTR queries on: each subtype path,
-        bare and under the domain."""
-        names = []
-        for path in [self.service_path, *self.aliases]:
-            names.append(DomainName.from_text(path))
-            names.append(DomainName.from_text(f"{path}.{self.domain}"))
-        return names
-
-    def srv_data(self) -> SrvData:
-        return SrvData(self.priority, self.capacity, self.port, self.host_name)
-
-
-def answer_query(profile: SmartObjectProfile, query: DnsMessage) -> DnsMessage | None:
-    """The agent's answer to one query, or None for silence.
-
-    Replies carry no authority/additional records, and TXT data is the
-    single joined string.  A records are served only when the profile
-    carries an IPv4 address.
-    """
-    if query.header.qr:
-        return None
-    answers: list[ResourceRecord] = []
-    instance_name = profile.instance_name
-    host_name = profile.host_name
-    for q in query.questions:
-        if q.rrtype == RType.PTR and q.name in profile.ptr_owner_names():
-            answers.append(ResourceRecord(q.name, RType.PTR, profile.ttl, instance_name))
-        elif q.rrtype == RType.SRV and q.name == instance_name:
-            answers.append(ResourceRecord(q.name, RType.SRV, profile.ttl, profile.srv_data()))
-        elif q.rrtype == RType.TXT and q.name in (instance_name, host_name):
-            answers.append(ResourceRecord(q.name, RType.TXT, profile.ttl, (to_txt(profile.meta).encode("utf-8"),)))
-        elif q.rrtype == RType.AAAA and q.name in (instance_name, host_name):
-            answers.append(ResourceRecord(q.name, RType.AAAA, profile.ttl, profile.addr6))
-        elif q.rrtype == RType.A and q.name in (instance_name, host_name) and profile.addr4 is not None:
-            answers.append(ResourceRecord(q.name, RType.A, profile.ttl, profile.addr4))
-    if not answers:
-        return None
-    return response_for(query, answers)
+    def entry(self) -> DirectoryEntry:
+        """The record set this object announces, as a directory holds it."""
+        target = DomainName.from_text(self.hostname) if self.hostname else self.instance_name
+        return DirectoryEntry(
+            instance=self.instance,
+            domain=self.domain,
+            ptr_paths=(self.service_path, *self.aliases),
+            srv=SrvData(self.priority, self.capacity, self.port, target),
+            meta=self.meta,
+            addr6=self.addr6,
+            addr4=self.addr4,
+            ttl=self.ttl,
+        )
 
 
 class SmartObjectAgent:
-    """Binds a profile to a simulated link and answers queries in place."""
+    """Binds a profile to a simulated link and answers queries in place.
+
+    The object answers as a one-entry directory holding its own entry, so
+    both discovery mechanisms serve one record set by one set of rules.
+    Where a directory would say NXDOMAIN the object stays silent: an mDNS
+    responder speaks only for the names it owns (RFC 6762, section 6).
+    """
 
     def __init__(self, profile: SmartObjectProfile, link, address: str | None = None) -> None:
-        self.profile = profile
+        self.directory = Digrectory(profile.domain)
+        self.directory.register(profile.entry())
         self.endpoint = link.attach(address or f"obj:{profile.instance}", responder=self._handle)
+
+    def answer(self, query: DnsMessage) -> DnsMessage | None:
+        """The reply to a query's first question, or None for silence."""
+        reply = self.directory.answer(query)
+        return reply if reply is not None and reply.header.rcode == 0 else None
 
     def _handle(self, payload: bytes, src) -> None:
         try:
             query = decode(payload)
         except CodecError:
             return
-        reply = answer_query(self.profile, query)
+        reply = self.answer(query)
         if reply is not None:
             self.endpoint.send(src, encode(reply))
 

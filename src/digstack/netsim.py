@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dnscodec import DnsMessage, measure
 
@@ -26,24 +26,21 @@ MULTICAST = "ff02::all-nodes"
 
 @dataclass(frozen=True)
 class FrameBudget:
-    """Frame size and per-frame overhead of the radio link.
+    """Per-frame overhead of the radio link's 127-byte frames.
 
     The default overhead is the worst case (41 bytes), which leaves 86
-    payload bytes per 127-byte frame.
+    payload bytes per frame.
     """
 
-    frame_size: int = FRAME_SIZE
     overhead: int = MAX_OVERHEAD
 
     def __post_init__(self) -> None:
-        if self.frame_size <= 0:
-            raise ValueError("frame_size must be positive")
-        if not 0 <= self.overhead < self.frame_size:
+        if not 0 <= self.overhead < FRAME_SIZE:
             raise ValueError("overhead must leave room for payload")
 
     @property
     def payload_per_frame(self) -> int:
-        return self.frame_size - self.overhead
+        return FRAME_SIZE - self.overhead
 
 
 def frames_required(nbytes: int, budget: FrameBudget = FrameBudget()) -> int:
@@ -53,44 +50,19 @@ def frames_required(nbytes: int, budget: FrameBudget = FrameBudget()) -> int:
     return math.ceil(nbytes / budget.payload_per_frame)
 
 
-@dataclass(frozen=True)
-class MessageCost:
-    label: str
+class MessageCost(NamedTuple):
     nbytes: int
     frames: int
 
 
-@dataclass(frozen=True)
-class TransmissionReport:
-    messages: tuple[MessageCost, ...]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.nbytes for m in self.messages)
-
-    @property
-    def total_frames(self) -> int:
-        return sum(m.frames for m in self.messages)
-
-
-def simulate_exchange(
-    messages: Sequence[DnsMessage | bytes],
-    budget: FrameBudget = FrameBudget(),
-    labels: Iterable[str] | None = None,
-) -> TransmissionReport:
-    """Account a message sequence against the frame budget.
+def simulate_exchange(messages: Sequence[DnsMessage | bytes], budget: FrameBudget = FrameBudget()) -> list[MessageCost]:
+    """Each message's cost against the frame budget, in order.
 
     Messages may be pre-encoded bytes or codec messages, which are
     measured in their compressed form.
     """
-    names = list(labels) if labels is not None else [f"msg{i}" for i in range(len(messages))]
-    if len(names) != len(messages):
-        raise ValueError("labels must match messages one to one")
-    costs = []
-    for name, msg in zip(names, messages):
-        nbytes = len(msg) if isinstance(msg, (bytes, bytearray)) else measure(msg)
-        costs.append(MessageCost(name, nbytes, frames_required(nbytes, budget)))
-    return TransmissionReport(tuple(costs))
+    sizes = [len(msg) if isinstance(msg, (bytes, bytearray)) else measure(msg) for msg in messages]
+    return [MessageCost(nbytes, frames_required(nbytes, budget)) for nbytes in sizes]
 
 
 # --- simulated transport --------------------------------------------------------

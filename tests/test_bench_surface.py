@@ -43,3 +43,12 @@ def test_tracer_install_patches_and_restores_each_entry_point(tracing):
         tracer.uninstall()
     assert [p.__wrapped__ for p in patched] == originals
     assert [getattr(owner, attr) for owner, attr, _name, _detail in tracing.ENTRY_POINTS] == originals
+
+
+def test_paper_checks_report_no_problems(tracing):
+    # c01-c03 as the benchmark checks them in every run; one problem
+    # marks every benchmark run incorrect.
+    import paper  # on the path that the fixture set
+
+    _counts, problems = paper.check()
+    assert problems == []

@@ -665,6 +665,35 @@ def test_pointer_batch_item_that_is_not_an_object_is_a_bad_request(served, capsy
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("instance", 5), ("service_path", 5), ("domain", 5), ("rt", 5),
+     ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": True, "lon": -1.1}), ("geo", {"lat": 38.0, "lon": None})],
+)
+def test_pointer_with_a_mistyped_field_is_a_bad_request(served, field, value):
+    core, client = served
+    client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
+    good = fixtures.campus_summaries()[0].to_dict()
+    bad = dict(fixtures.campus_summaries()[1].to_dict(), **{field: value})
+    with pytest.raises(ApiError) as err:
+        client._request("POST", "/api/v1/domains/rd.esiot.com/pointers", [good, bad])
+    assert err.value.status == 400 and err.value.error == "bad-request"
+    assert core.execute(Bool()) == []  # the batch is refused whole
+    # the service still answers queries and discovery
+    assert client.query({"bool": {}})["results"] == []
+    assert client.discover("*.*") == []
+
+
+@pytest.mark.parametrize("field, value", [("domain", 7), ("host", ["127.0.0.1"])])
+def test_domain_with_a_mistyped_field_is_a_bad_request(served, field, value):
+    core, client = served
+    body = dict(DomainRecord("rd.esiot.com", "127.0.0.1", 5300).to_dict(), **{field: value})
+    with pytest.raises(ApiError) as err:
+        client._request("POST", "/api/v1/domains", body)
+    assert err.value.status == 400 and err.value.error == "bad-request"
+    assert core.domains() == []
+
+
 def test_client_reports_unreachable():
     client = HttpDigcoveryClient("http://127.0.0.1:1", timeout=0.5)
     with pytest.raises(EndpointUnreachable):

@@ -252,11 +252,38 @@ def test_follower_matches_a_fresh_replay(tmp_path):
 
     # a bad complete line is reported with its line number, not applied
     with path.open("a", encoding="utf-8") as fh:
-        fh.write('{"op": "withdraw", "instance": "ghost"}\n')
+        fh.write('{"op": "withdraw", "name": "ghost"}\n')
     with pytest.raises(ParseError) as err:
         follower.follow_journal()
     assert err.value.position == 10
     assert follower.revision == 9
+
+
+def test_two_followers_expiring_one_entry_keep_the_journal_readable(tmp_path):
+    path = tmp_path / "directory.journal"
+    clock = FakeClock()
+    first, second = (Digrectory(fixtures.DOMAIN, clock=clock, journal_path=str(path)) for _ in range(2))
+    short = light("light_two")
+    short.ttl = 100
+    first.register(fixtures.light_lab_entry())
+    first.register(short)
+    second.follow_journal()
+
+    clock.now += short.ttl + 1
+    assert [e.instance for e in first.expire_stale()] == ["light_two"]
+    # second has not read first's withdraw yet, so it journals its own
+    assert [e.instance for e in second.expire_stale()] == ["light_two"]
+    first.follow_journal()
+    fresh = Digrectory(fixtures.DOMAIN, journal_path=str(path))
+    assert journal_state(first) == journal_state(second) == journal_state(fresh)
+    assert [e.instance for e in fresh.live_entries()] == ["light_lab"]
+    assert fresh.revision == 3 and len(fresh.pending_tombstones()) == 1
+
+    # asking to withdraw what is not held is still refused, journal or not
+    with pytest.raises(UnknownInstance):
+        first.withdraw("light_two")
+    with pytest.raises(UnknownInstance):
+        Digrectory(fixtures.DOMAIN).withdraw("light_two")
 
 
 @pytest.mark.parametrize("rotate", ["truncate", "rename"])
@@ -571,3 +598,18 @@ def test_driver_expire_tag_withdraws_everywhere():
     assert len(driver.mapper) == 0
     with pytest.raises(UnknownInstance):
         driver.resolve(epc, via="api")
+
+
+def test_refused_tag_expiry_changes_nothing():
+    epcis = MockEpcis()
+    synced, captured = "urn:epc:id:sgtin:0614141.107346.0", "urn:epc:id:sgtin:0614141.107346.1"
+    epcis.capture(synced, tag_attributes(0))
+    d = Digrectory(fixtures.DOMAIN, clock=FakeClock())
+    driver = EpcisDriver(epcis, d)
+    driver.sync()
+    epcis.capture(captured, tag_attributes(1))  # captured, not yet synced
+    with pytest.raises(UnknownInstance):
+        driver.expire_tag(captured)
+    assert sorted(epcis.tags) == [synced, captured]
+    assert len(driver.mapper) == 1 and len(d.live_entries()) == 1
+    assert driver.sync() == 1  # the captured tag still reaches the directory

@@ -19,7 +19,6 @@ from digstack.lmdns import (
     ProbeResult,
     SmartObjectAgent,
     UdpTransport,
-    answer_query,
     probe,
     registration_handshake,
 )
@@ -35,11 +34,15 @@ def _profile():
     return fixtures.light_lab_profile()
 
 
-# --- answer_query --------------------------------------------------------------
+def _answer(profile, query: DnsMessage) -> DnsMessage | None:
+    return SmartObjectAgent(profile, SimulatedLink()).answer(query)
+
+
+# --- the agent's answer ---------------------------------------------------------
 
 
 def test_ptr_answer_on_service_path():
-    reply = answer_query(_profile(), _query("_lamp._sub._coap._udp", RType.PTR))
+    reply = _answer(_profile(), _query("_lamp._sub._coap._udp", RType.PTR))
     assert reply is not None
     assert reply.answers[0].rdata == DomainName.from_text("light_lab.rd.esiot.com")
     assert reply.header.id == 99 and reply.header.qr == 1
@@ -48,12 +51,12 @@ def test_ptr_answer_on_service_path():
 def test_ptr_answer_on_alias_and_domain_qualified_path():
     profile = _profile()
     for name in ("_dimmer._lamp._sub._coap._udp", "_x10._lamp._sub._coap._udp.rd.esiot.com"):
-        reply = answer_query(profile, _query(name, RType.PTR))
+        reply = _answer(profile, _query(name, RType.PTR))
         assert reply is not None, name
 
 
 def test_srv_answer_is_compact():
-    reply = answer_query(_profile(), _query("light_lab.rd.esiot.com", RType.SRV))
+    reply = _answer(_profile(), _query("light_lab.rd.esiot.com", RType.SRV))
     srv = reply.answers[0].rdata
     assert (srv.priority, srv.capacity, srv.port) == (0, 0, 1234)
     assert srv.target == DomainName.from_text("light1.rd.esiot.com")
@@ -62,34 +65,40 @@ def test_srv_answer_is_compact():
 
 
 def test_txt_answer_is_single_joined_record():
-    reply = answer_query(_profile(), _query("light_lab.rd.esiot.com", RType.TXT))
+    reply = _answer(_profile(), _query("light_lab.rd.esiot.com", RType.TXT))
     assert len(reply.answers) == 1
     assert reply.answers[0].rdata == (fixtures.JOINED_TXT,)
     # The hostname carries the same metadata.
-    by_host = answer_query(_profile(), _query("light1.rd.esiot.com", RType.TXT))
+    by_host = _answer(_profile(), _query("light1.rd.esiot.com", RType.TXT))
     assert by_host.answers[0].rdata == (fixtures.JOINED_TXT,)
 
 
 def test_aaaa_and_a_answers():
-    assert answer_query(_profile(), _query("light1.rd.esiot.com", RType.AAAA)).answers[0].rdata == fixtures.HOST_ADDR6
-    assert answer_query(_profile(), _query("light1.rd.esiot.com", RType.A)).answers[0].rdata == fixtures.HOST_ADDR4
+    assert _answer(_profile(), _query("light1.rd.esiot.com", RType.AAAA)).answers[0].rdata == fixtures.HOST_ADDR6
+    assert _answer(_profile(), _query("light1.rd.esiot.com", RType.A)).answers[0].rdata == fixtures.HOST_ADDR4
 
 
 def test_a_answering_defaults_off():
     profile = _profile()
     profile.addr4 = None
-    assert answer_query(profile, _query("light1.rd.esiot.com", RType.A)) is None
+    assert _answer(profile, _query("light1.rd.esiot.com", RType.A)) is None
 
 
 def test_silence_on_foreign_question():
-    assert answer_query(_profile(), _query("_thermo._coap._udp", RType.PTR)) is None
-    assert answer_query(_profile(), _query("other.rd.esiot.com", RType.SRV)) is None
+    assert _answer(_profile(), _query("_thermo._coap._udp", RType.PTR)) is None
+    assert _answer(_profile(), _query("other.rd.esiot.com", RType.SRV)) is None
 
 
 def test_silence_on_responses():
     query = _query("_lamp._sub._coap._udp", RType.PTR)
-    reply = answer_query(_profile(), query)
-    assert answer_query(_profile(), reply) is None
+    reply = _answer(_profile(), query)
+    assert _answer(_profile(), reply) is None
+
+
+def test_only_the_first_question_is_answered():
+    questions = tuple(Question(DomainName.from_text("light_lab.rd.esiot.com"), t) for t in (RType.SRV, RType.TXT))
+    reply = _answer(_profile(), DnsMessage(header=DnsHeader(id=99), questions=questions))
+    assert [rr.rrtype for rr in reply.answers] == [RType.SRV]
 
 
 # --- probe ----------------------------------------------------------------------
@@ -179,8 +188,8 @@ def test_handshake_timeout_reports_missing_records():
 
 
 def test_probe_and_handshake_over_loopback_udp():
-    profile = _profile()
-    server = UdpDnsServer(lambda q: answer_query(profile, q)).start()
+    agent = SmartObjectAgent(_profile(), SimulatedLink())
+    server = UdpDnsServer(agent.answer).start()
     prober = UdpTransport(("127.0.0.1", 0))
     # Point "multicast" at the agent directly: loopback stands in for the group.
     prober.multicast_address = server.address

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from digstack import fixtures
 from digstack.dnscodec import encode
 from digstack.netsim import (
+    FRAME_SIZE,
     MULTICAST,
     FrameBudget,
     SimulatedLink,
@@ -19,7 +20,7 @@ from digstack.netsim import (
 
 def test_budget_defaults():
     budget = FrameBudget()
-    assert budget.frame_size == 127
+    assert FRAME_SIZE == 127
     assert budget.overhead == 41
     assert budget.payload_per_frame == 86
 
@@ -28,7 +29,7 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         FrameBudget(overhead=127)
     with pytest.raises(ValueError):
-        FrameBudget(frame_size=0)
+        FrameBudget(overhead=-1)
     assert FrameBudget(overhead=26).payload_per_frame == 101
 
 
@@ -46,27 +47,24 @@ def test_reference_pair_is_one_vs_three_frames():
     worst_case = FrameBudget(overhead=41)
     original, optimized = simulate_exchange(
         [fixtures.srv_reply_original(), fixtures.srv_reply_optimized()], worst_case
-    ).messages
+    )
     assert optimized.frames == 1
     assert original.frames == 3
     assert 91 <= original.nbytes - optimized.nbytes <= 127
 
 
 def test_txt_pair_savings():
-    original, optimized = simulate_exchange([fixtures.txt_reply_multi(), fixtures.txt_reply_joined()]).messages
+    original, optimized = simulate_exchange([fixtures.txt_reply_multi(), fixtures.txt_reply_joined()])
     assert original.nbytes - optimized.nbytes == 91
     assert original.frames == 3
     assert optimized.frames == 2
 
 
 def test_simulate_exchange_accepts_messages_and_bytes():
-    report = simulate_exchange(
-        [fixtures.srv_reply_optimized(), b"x" * 100],
-        labels=["srv", "raw"],
-    )
-    assert [m.nbytes for m in report.messages] == [79, 100]
-    assert [m.frames for m in report.messages] == [1, 2]
-    assert report.total_frames == 3
+    costs = simulate_exchange([fixtures.srv_reply_optimized(), b"x" * 100])
+    assert [m.nbytes for m in costs] == [79, 100]
+    assert [m.frames for m in costs] == [1, 2]
+    assert sum(m.frames for m in costs) == 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -108,6 +106,6 @@ def test_link_report_counts_encoded_traffic():
     a = link.attach("a")
     link.attach("b")
     a.send("b", encode(fixtures.srv_reply_optimized()))
-    report = simulate_exchange([d.payload for d in link.log])
-    assert report.total_bytes == 79
-    assert report.total_frames == 1
+    costs = simulate_exchange([d.payload for d in link.log])
+    assert sum(m.nbytes for m in costs) == 79
+    assert sum(m.frames for m in costs) == 1
