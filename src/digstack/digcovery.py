@@ -54,6 +54,17 @@ class GeoPoint:
     lat: float
     lon: float
 
+    @classmethod
+    def from_dict(cls, data) -> GeoPoint | None:
+        """A wire `{"lat": ..., "lon": ...}`; None for a missing or empty
+        one.  Each coordinate must be a JSON number, and a bool is not."""
+        if not data:
+            return None
+        lat, lon = data["lat"], data["lon"]
+        if type(lat) not in _NUMBER or type(lon) not in _NUMBER:
+            raise TypeError("geo lat and lon must be numbers")
+        return cls(lat, lon)
+
 
 @dataclass(frozen=True, slots=True)
 class PointerSummary:
@@ -67,6 +78,9 @@ class PointerSummary:
     geo: GeoPoint | None = None
     revision: int = 0
     removed: bool = False
+    # the row's query-result JSON, rendered by the HTTP front on first use
+    # and kept for every later reply; not part of the row's value
+    result_json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def key(self) -> tuple[str, str, str]:
         return (self.domain, self.instance, self.service_path)
@@ -92,14 +106,8 @@ class PointerSummary:
         if not (isinstance(instance, str) and isinstance(path, str)
                 and isinstance(domain, str) and isinstance(rt, str)):
             raise TypeError("instance, service_path, domain and rt must be strings")
-        geo = data.get("geo")
-        if geo:
-            lat, lon = geo["lat"], geo["lon"]
-            if type(lat) not in _NUMBER or type(lon) not in _NUMBER:
-                raise TypeError("geo lat and lon must be numbers")
-            geo = GeoPoint(lat, lon)
         revision, removed = int(data.get("revision", 0)), bool(data.get("removed", False))
-        return cls(instance, path, domain, rt, geo or None, revision, removed)
+        return cls(instance, path, domain, rt, GeoPoint.from_dict(data.get("geo")), revision, removed)
 
 
 @dataclass(frozen=True)
@@ -342,13 +350,15 @@ class _Snapshot:
     Ids are positions in (domain, instance, service path) order, the order
     results are promised in, so sorting a result's ids orders its rows.
     Everything valid for this generation only belongs to the snapshot,
-    its filter cache included, and goes when the snapshot is replaced.
+    its filter cache and path → domain table included, and goes when the
+    snapshot is replaced.
     """
 
     def __init__(self, summaries: list[PointerSummary], generation: int) -> None:
         self.generation = generation
         self.summaries = summaries
         self.cache = FilterCache()
+        self._path_domains: dict[str, frozenset[str]] | None = None
         self.universe = frozenset(range(len(summaries)))
         self.postings: dict[str, dict[str, set[int]]] = {f: {} for f in TERM_FIELDS}
         for sid, s in enumerate(summaries):
@@ -363,6 +373,18 @@ class _Snapshot:
             values = [getattr(geo, coordinate) for _, geo in tagged]
             rank = sorted(range(len(values)), key=values.__getitem__)
             self.geo_axis[axis] = ([values[i] for i in rank], [tagged[i][0] for i in rank])
+
+    def path_domains(self) -> dict[str, frozenset[str]]:
+        """Each service path → the lowercased domains with a row on it;
+        built on first use, as the filter cache fills."""
+        table = self._path_domains
+        if table is None:
+            rows = self.summaries
+            table = self._path_domains = {
+                path: frozenset(rows[sid].domain.lower() for sid in ids)
+                for path, ids in self.postings["service_path"].items()
+            }
+        return table
 
     def page(self, ids: frozenset[int], offset: int, limit: int | None) -> list[PointerSummary]:
         """One page of a result: its rows, in result order."""
@@ -535,11 +557,14 @@ class Digcovery:
         return snapshot.page(snapshot.evaluate(query, stats), offset, limit), stats
 
     def discover(self, pattern: str) -> list[DomainRecord]:
-        """Domains with at least one live pointer matching the path pattern."""
+        """Domains with at least one live pointer matching the path pattern,
+        in domain order.  Costs the snapshot's distinct paths, not its
+        pointers."""
         _check_pattern(pattern)
-        snapshot = self._read()
-        ids = snapshot.evaluate(Wildcard(pattern))
-        found = {snapshot.summaries[i].domain.lower() for i in ids}
+        found: set[str] = set()
+        for path, domains in self._read().path_domains().items():
+            if match_service_path(pattern, path):
+                found |= domains
         return [self._domains[d] for d in sorted(found) if d in self._domains]
 
 

@@ -126,23 +126,27 @@ class DirectoryEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> DirectoryEntry:
+        instance, domain, hostname, paths = data["instance"], data["domain"], data["hostname"], data["ptr_paths"]
+        if not (isinstance(instance, str) and isinstance(domain, str) and isinstance(hostname, str)):
+            raise TypeError("instance, domain and hostname must be strings")
+        if not isinstance(paths, list) or not all(isinstance(path, str) for path in paths):
+            raise TypeError("ptr_paths must be a list of strings")
         meta = ServiceMetadata.from_dict(data.get("meta", {}))
-        geo = data.get("geo")
         return cls(
-            instance=data["instance"],
-            domain=data["domain"],
-            ptr_paths=tuple(data["ptr_paths"]),
+            instance=instance,
+            domain=domain,
+            ptr_paths=tuple(paths),
             srv=SrvData(
                 priority=int(data.get("priority", 0)),
                 capacity=int(data.get("capacity", 0)),
                 port=int(data["port"]),
-                target=DomainName.from_text(data["hostname"]),
+                target=DomainName.from_text(hostname),
             ),
             meta=meta,
             addr6=ipaddress.IPv6Address(data["addr6"]).packed if data.get("addr6") else None,
             addr4=ipaddress.IPv4Address(data["addr4"]).packed if data.get("addr4") else None,
             ttl=int(data.get("ttl", 604800)),
-            geo=GeoPoint(geo["lat"], geo["lon"]) if geo else None,
+            geo=GeoPoint.from_dict(data.get("geo")),
             origin=data.get("origin", "local"),
         )
 

@@ -53,6 +53,10 @@ class ApiError(Exception):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "digcovery/0.1"
+    # headers and body leave in separate writes (the stdlib's error replies
+    # too); with Nagle on, a kept connection's body waits for the client's
+    # delayed ACK, about 40 ms
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
@@ -62,7 +66,9 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.core  # type: ignore[attr-defined]
 
     def _send(self, status: int, payload: dict | list) -> None:
-        body = json.dumps(payload).encode()
+        self._send_body(status, json.dumps(payload).encode())
+
+    def _send_body(self, status: int, body: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -142,15 +148,11 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(f"negative offset or limit ({offset}, {limit})")
         query = parse_query(body)
         rows, stats = self.core.execute_cached(query, offset=offset, limit=limit)
-        self._send(
-            200,
-            {
-                "results": [_result(row) for row in rows],
-                "offset": offset,
-                "limit": limit,
-                "cache": {"hits": stats.hits, "misses": stats.misses},
-            },
-        )
+        # json.dumps of {"results": [...], "offset": ..., ...}, byte for byte,
+        # with each row's part rendered once per row, not once per reply
+        rest = json.dumps({"offset": offset, "limit": limit, "cache": {"hits": stats.hits, "misses": stats.misses}})
+        body = '{"results": [' + ", ".join(map(_result_json, rows)) + "], " + rest[1:]
+        self._send_body(200, body.encode())
 
 
 def _result(row: PointerSummary) -> dict:
@@ -161,6 +163,16 @@ def _result(row: PointerSummary) -> dict:
         "service_path": row.service_path,
         "geo": {"lat": row.geo.lat, "lon": row.geo.lon} if row.geo else None,
     }
+
+
+def _result_json(row: PointerSummary) -> str:
+    """`json.dumps(_result(row))`, kept on the row after its first render;
+    rows are immutable and shared by successive snapshots."""
+    text = row.result_json
+    if text is None:
+        text = json.dumps(_result(row))
+        object.__setattr__(row, "result_json", text)
+    return text
 
 
 class DigcoveryHttpServer:

@@ -52,3 +52,27 @@ def test_paper_checks_report_no_problems(tracing):
 
     _counts, problems = paper.check()
     assert problems == []
+
+
+def test_http_replies_go_through_the_traced_core_methods(tracing):
+    # the per-layer metrics read the core's spans; a reply path that went
+    # around `execute_cached` or `discover` would make them read 0
+    from digstack import fixtures
+    from digstack.digcovery import Digcovery, DomainRecord
+    from digstack.webapi import DigcoveryHttpServer, HttpDigcoveryClient
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with DigcoveryHttpServer(Digcovery()) as server:
+            client = HttpDigcoveryClient(server.url)
+            client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
+            client.publish_pointers("rd.esiot.com", fixtures.campus_summaries())
+            tracer.enabled = True
+            assert len(client.query({"bool": {}})["results"]) == 5
+            assert [d["domain"] for d in client.discover("_lamp.*")] == ["rd.esiot.com"]
+            tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    names = {span[1] for span in tracer.spans}
+    assert {"digcovery.parse_query", "digcovery.execute_cached", "digcovery.discover"} <= names

@@ -150,6 +150,19 @@ def test_register_bad_file_exits_one(tmp_path, capsys):
     assert main(["register", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("instance", 5), ("domain", 5), ("hostname", 5), ("ptr_paths", "_coap._udp"),
+     ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": False, "lon": -1.1})],
+)
+def test_register_entry_with_a_mistyped_field_exits_one(tmp_path, capsys, field, value):
+    path = entry_file(tmp_path, [dict(fixtures.light_lab_entry().to_dict(), **{field: value})])
+    journal = tmp_path / "dir.journal"
+    assert main(["register", path, "--journal", str(journal)]) == 1
+    assert capsys.readouterr().err.startswith(f"digstack: {path}: entry 1: ")
+    assert not journal.exists() or journal.read_text() == ""  # nothing was journaled
+
+
 def test_register_domain_mismatch_exits_one(tmp_path, capsys):
     code, _ = run_cli(
         capsys,

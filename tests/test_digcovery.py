@@ -6,6 +6,9 @@ import http.client
 import json
 import random
 import socket
+import sys
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -20,6 +23,7 @@ from digstack.digcovery import (
     DuplicateDomain,
     FilterCache,
     Filtered,
+    GeoPoint,
     GeoRange,
     MalformedPattern,
     MalformedQuery,
@@ -386,6 +390,57 @@ def test_discover_maps_patterns_to_domains():
         core.discover("bad..pattern")
 
 
+DISCOVER_PATHS = (
+    "_coap._udp", "_lamp._sub._coap._udp", "_Lamp._sub._coap._udp", "_fan._sub._coap._udp", "_http._tcp",
+)
+DISCOVER_PATTERNS = ("*.*", "*", "_lamp.*", "_LAMP._sub.*", "*._udp", "_coap._udp", "*.*.*", "_fan.*", "_none.*")
+# each domain as registered, then as a directory may spell it in its rows
+DISCOVER_DOMAINS = {"rd.esiot.com": ("rd.esiot.com", "RD.Esiot.COM"), "lab.example.net": ("lab.example.net",)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(DISCOVER_PATTERNS),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(sorted(DISCOVER_DOMAINS)), st.integers(0, 1), st.sampled_from("ab"),
+                    st.sampled_from(DISCOVER_PATHS), st.integers(0, 3), st.booleans(),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+        ),
+        max_size=12,
+    )
+)
+def test_discover_matches_a_scan_of_the_live_pointers(history):
+    # ingests and discovers interleaved, so a table kept past its snapshot would show
+    core = make_core(domains=tuple(DISCOVER_DOMAINS))
+    table: dict[tuple, PointerSummary] = {}
+    for step in history:
+        if isinstance(step, str):
+            found = {
+                row.domain.lower()
+                for row in table.values()
+                if not row.removed and match_service_path(step, row.service_path)
+            }
+            assert [d.domain for d in core.discover(step)] == sorted(found)
+            continue
+        by_domain: dict[str, list[PointerSummary]] = {}
+        for domain, spelling, instance, path, rev, removed in step:
+            spelt = DISCOVER_DOMAINS[domain][spelling % len(DISCOVER_DOMAINS[domain])]
+            row = PointerSummary(instance, path, spelt, "light", revision=rev, removed=removed)
+            by_domain.setdefault(domain, []).append(row)
+        for domain, rows in by_domain.items():  # a replay is a second ingest of rows already held
+            for row in rows:
+                stored = table.get(row.key())
+                if stored is None or row.revision > stored.revision:
+                    table[row.key()] = row
+            core.ingest(domain, rows)
+
+
 # --- JSON DSL ---------------------------------------------------------------------
 
 
@@ -614,6 +669,148 @@ def test_http_error_paths(served):
         urllib.request.urlopen(req, timeout=5)
     raw_err.value.close()
     assert raw_err.value.code == 400
+
+
+def _connect(client: HttpDigcoveryClient) -> http.client.HTTPConnection:
+    host, port = client.base_url.rsplit("/", 1)[1].split(":")
+    return http.client.HTTPConnection(host, int(port), timeout=5)
+
+
+def _post_raw(conn: http.client.HTTPConnection, body) -> tuple[int, bytes]:
+    conn.request("POST", "/api/v1/query", json.dumps(body), {"Content-Type": "application/json"})
+    reply = conn.getresponse()
+    return reply.status, reply.read()
+
+
+def _reply_bytes(rows: list[PointerSummary], offset: int, limit: int | None, cache: dict) -> bytes:
+    """A query reply as `json.dumps` of its payload dict."""
+    results = [
+        {
+            "domain": r.domain,
+            "instance": r.instance,
+            "service_path": r.service_path,
+            "geo": {"lat": r.geo.lat, "lon": r.geo.lon} if r.geo else None,
+        }
+        for r in rows
+    ]
+    return json.dumps({"results": results, "offset": offset, "limit": limit, "cache": cache}).encode()
+
+
+def test_query_reply_is_json_dumps_of_its_payload_byte_for_byte(served):
+    core, client = served
+    for domain in DOMAINS:
+        client.register_domain(DomainRecord(domain, "127.0.0.1", 5300))
+    odd = [
+        PointerSummary('say "hi"', "_lamp._sub._coap._udp", "rd.esiot.com", "light", GeoPoint(-37.5, -1.125), 1),
+        PointerSummary("back\\slash", "_coap._udp", "rd.esiot.com", "light", None, 1),
+        PointerSummary("caf\u00e9_\u6771", "_coap._udp", "rd.other.org", "video", GeoPoint(-0.0, 12), 1),
+    ]
+    client.publish_pointers("rd.esiot.com", fixtures.campus_summaries() + odd[:2])
+    client.publish_pointers("rd.other.org", odd[2:])
+
+    def expected(query, offset, limit, cache) -> bytes:
+        return _reply_bytes(core.execute(parse_query(query), offset=offset, limit=limit), offset, limit, cache)
+
+    conn = _connect(client)
+    try:
+        cases = [
+            ({"bool": {}}, {}),
+            ({"bool": {}}, {}),  # the same rows again, now from their kept JSON
+            ({"bool": {}}, {"limit": None}),
+            ({"bool": {}}, {"offset": 3, "limit": None}),
+            ({"bool": {}}, {"offset": 1000}),
+            ({"term": {"rt": "nothing"}}, {}),
+            ({"term": {"domain": "rd.other.org"}}, {"offset": 0, "limit": 1}),
+            ({"geo_range": {"latitude": {"from": -40, "to": -30}, "longitude": {"from": -2, "to": 0}}}, {}),
+        ]
+        seen = 0
+        for query, page in cases:
+            status, raw = _post_raw(conn, {"query": query, **page})
+            assert status == 200
+            payload = json.loads(raw)
+            assert raw == expected(query, page.get("offset", 0), page.get("limit", 100), payload["cache"])
+            seen += len(payload["results"])
+        assert seen > 10
+        # a later ingest replaces the snapshot; the rows it keeps render the same
+        client.publish_pointers("rd.other.org", [PointerSummary("fan", "_fan._coap._udp", "rd.other.org", "w", None, 1)])
+        status, raw = _post_raw(conn, {"query": {"bool": {}}, "limit": None})
+        assert status == 200 and raw == expected({"bool": {}}, 0, None, json.loads(raw)["cache"])
+    finally:
+        conn.close()
+
+
+def test_replies_stay_whole_while_another_domain_changes(served):
+    # readers share the rows' kept JSON and each snapshot's path table
+    # while every ingest of the writer replaces the snapshot
+    core, client = served
+    for domain in DOMAINS[:2]:
+        client.register_domain(DomainRecord(domain, "127.0.0.1", 5300))
+    stable = [
+        PointerSummary(f"o{i}", "_lamp._sub._coap._udp", "rd.esiot.com", "light",
+                       GeoPoint(-i / 7, i / 3) if i % 2 else None, 1)
+        for i in range(60)
+    ]
+    client.publish_pointers("rd.esiot.com", stable)
+    rows = core.execute(Term("domain", "rd.esiot.com"))
+    errors: list[str] = []
+    stop = threading.Event()
+
+    def writer():
+        revision = 1
+        while not stop.is_set():
+            revision += 1
+            fan = PointerSummary("fan", "_fan._coap._udp", "rd.other.org", "wind", None, revision, revision % 2 == 0)
+            core.ingest("rd.other.org", [fan])
+
+    def reader():
+        conn = _connect(client)
+        try:
+            for _ in range(15):
+                status, raw = _post_raw(conn, {"query": {"term": {"domain": "rd.esiot.com"}}, "limit": None})
+                if status != 200 or raw != _reply_bytes(rows, 0, None, json.loads(raw)["cache"]):
+                    errors.append(raw[:60].decode())
+                if [d.domain for d in core.discover("_lamp.*")] != ["rd.esiot.com"]:
+                    errors.append("discover")
+        except Exception as err:  # reported by the assertion below
+            errors.append(repr(err))
+        finally:
+            conn.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=reader) for _ in range(6)]
+        changer = threading.Thread(target=writer)
+        changer.start()
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=30)
+        stop.set()
+        changer.join(timeout=10)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not changer.is_alive() and not any(t.is_alive() for t in readers)
+    assert errors == []
+
+
+def test_kept_connection_queries_do_not_wait_for_delayed_acks(served):
+    # headers and body sent as two small writes: with Nagle on, each body
+    # waited about 40 ms for the client's delayed ACK
+    core, client = served
+    client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
+    client.publish_pointers("rd.esiot.com", fixtures.campus_summaries())
+    conn = _connect(client)
+    try:
+        started = time.perf_counter()
+        for _ in range(50):
+            status, raw = _post_raw(conn, {"query": {"bool": {}}})
+            assert status == 200 and len(json.loads(raw)["results"]) == 5
+        elapsed = time.perf_counter() - started
+    finally:
+        conn.close()
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("page", [{"offset": -2}, {"limit": -1}])

@@ -390,6 +390,29 @@ def test_load_entry_file(tmp_path):
         load_entry_file(str(notlist))
 
 
+MISTYPED_ENTRY_FIELDS = [
+    ("instance", 5), ("domain", 5), ("hostname", 5), ("ptr_paths", "_coap._udp"), ("ptr_paths", ["_coap._udp", 5]),
+    ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": True, "lon": -1.1}), ("geo", {"lat": 38.0, "lon": None}),
+]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_ENTRY_FIELDS)
+def test_entry_with_a_mistyped_field_is_a_parse_error(tmp_path, field, value):
+    good = fixtures.light_lab_entry().to_dict()
+    bad = dict(light("light_two").to_dict(), **{field: value})
+    entries = tmp_path / "objects.json"
+    entries.write_text(json.dumps([good, bad]))
+    with pytest.raises(ParseError) as err:
+        load_entry_file(str(entries))
+    assert err.value.position == 2 and isinstance(err.value.reason, str)
+
+    journal = tmp_path / "directory.journal"
+    journal.write_text("".join(json.dumps({"op": "register", "entry": e}) + "\n" for e in (good, bad)))
+    with pytest.raises(ParseError) as err:
+        Digrectory(fixtures.DOMAIN, journal_path=str(journal))
+    assert err.value.position == 2
+
+
 # --- pointer summaries and the publisher ---------------------------------------------
 
 
