@@ -65,6 +65,9 @@ class GeoPoint:
             raise TypeError("geo lat and lon must be numbers")
         return cls(lat, lon)
 
+    def to_dict(self) -> dict:
+        return {"lat": self.lat, "lon": self.lon}
+
 
 @dataclass(frozen=True, slots=True)
 class PointerSummary:
@@ -91,7 +94,7 @@ class PointerSummary:
             "service_path": self.service_path,
             "domain": self.domain,
             "rt": self.rt,
-            "geo": {"lat": self.geo.lat, "lon": self.geo.lon} if self.geo else None,
+            "geo": self.geo.to_dict() if self.geo else None,
             "revision": self.revision,
         }
         if self.removed:
@@ -651,10 +654,9 @@ def parse_query(obj: Union[str, dict]) -> Query:
     if kind == "geo_range":
         if not isinstance(body, dict) or set(body) != {"latitude", "longitude"}:
             raise MalformedQuery("geo_range wants latitude and longitude bounds")
-        lat, lon = body["latitude"], body["longitude"]
         try:
-            return GeoRange(float(lat["from"]), float(lat["to"]), float(lon["from"]), float(lon["to"]))
-        except (KeyError, TypeError, ValueError):
+            return GeoRange(*(_coerce_bound(axis, body[axis][end]) for axis in GEO_FIELDS for end in ("from", "to")))
+        except (KeyError, TypeError):
             raise MalformedQuery("geo_range bounds must be numeric from/to pairs") from None
     if kind == "wildcard":
         if isinstance(body, str):

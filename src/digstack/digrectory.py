@@ -94,6 +94,18 @@ class DirectoryEntry:
     def hostname(self) -> str:
         return str(self.srv.target)
 
+    def servable(self) -> DirectoryEntry:
+        """This entry, once each name it answers for fits DNS (labels of at
+        most 63 bytes, names of at most 255) and its metadata renders to one
+        TXT string; else a ValueError.  The doors for outside records call
+        it, and so does a journaled `register`; `__post_init__` does not, so
+        an entry the program builds for an unjournaled directory skips it."""
+        DomainName.from_text(self.instance_name)
+        for path in self.ptr_paths:
+            DomainName.from_text(f"{path}.{self.domain}")
+        to_txt(self.meta)
+        return self
+
     def content_key(self) -> tuple:
         """Everything that makes a re-registration an update, not a refresh."""
         return (
@@ -119,13 +131,15 @@ class DirectoryEntry:
             "addr6": str(ipaddress.IPv6Address(self.addr6)) if self.addr6 else None,
             "addr4": str(ipaddress.IPv4Address(self.addr4)) if self.addr4 else None,
             "ttl": self.ttl,
-            "geo": {"lat": self.geo.lat, "lon": self.geo.lon} if self.geo else None,
+            "geo": self.geo.to_dict() if self.geo else None,
             "origin": self.origin,
             "meta": self.meta.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> DirectoryEntry:
+        """The entry door for outside records (entry files, journal lines,
+        EPCIS captures); what it returns is servable."""
         instance, domain, hostname, paths = data["instance"], data["domain"], data["hostname"], data["ptr_paths"]
         if not (isinstance(instance, str) and isinstance(domain, str) and isinstance(hostname, str)):
             raise TypeError("instance, domain and hostname must be strings")
@@ -148,7 +162,7 @@ class DirectoryEntry:
             ttl=int(data.get("ttl", 604800)),
             geo=GeoPoint.from_dict(data.get("geo")),
             origin=data.get("origin", "local"),
-        )
+        ).servable()
 
 
 def entry_from_instance_records(
@@ -169,7 +183,7 @@ def entry_from_instance_records(
         ttl=records.meta.lt,
         geo=geo,
         origin="mdns",
-    )
+    ).servable()
 
 
 class Digrectory:
@@ -207,7 +221,8 @@ class Digrectory:
         """
         if self._journal_path is None:
             return self._apply_register(entry)
-        outcome = self._outcome(entry)  # checks the domain, so a foreign entry is never journaled
+        # a foreign or unservable entry is never journaled, as replay would refuse it
+        outcome = self._outcome(entry.servable())
         self._append_journal({"op": "register", "entry": entry.to_dict()})
         return outcome
 
@@ -468,7 +483,6 @@ class EpcMapper:
     """
 
     def __init__(self) -> None:
-        self._by_epc: dict[str, bytes] = {}
         self._by_addr: dict[bytes, str] = {}
 
     def address_for(self, epc: str) -> bytes:
@@ -480,7 +494,6 @@ class EpcMapper:
         owner = self._by_addr.get(addr)
         if owner is not None and owner != epc:
             raise EpcCollision(f"{epc!r} and {owner!r} map to the same address")
-        self._by_epc[epc] = addr
         self._by_addr[addr] = epc
         return addr
 
@@ -491,31 +504,24 @@ class EpcMapper:
             raise KeyError(f"no tag mapped to {addr.hex()}") from None
 
     def remove(self, epc: str) -> None:
-        addr = self._by_epc.pop(epc, None)
-        if addr is not None:
+        addr = self.address_for(epc)
+        if self._by_addr.get(addr) == epc:
             del self._by_addr[addr]
 
     def __len__(self) -> int:
-        return len(self._by_epc)
+        return len(self._by_addr)
+
+
+_ENTRY_ATTRIBUTES = ("instance", "service_path", "port", "hostname")  # shape the entry, not its metadata
 
 
 def metadata_from_attributes(attributes: dict) -> ServiceMetadata:
-    """EPCIS capture attributes to service metadata, core keys split out."""
-    known = {"rt", "ins", "lt", "model", "if", "verbs"}
-    extra = {
-        k: str(v)
-        for k, v in attributes.items()
-        if k not in known and k not in ("instance", "service_path", "port", "hostname")
-    }
-    return ServiceMetadata(
-        rt=attributes["rt"],
-        ins=int(attributes.get("ins", 1)),
-        lt=int(attributes.get("lt", 86400)),
-        model=str(attributes.get("model", "")),
-        if_=str(attributes.get("if", "")),
-        verbs=tuple(attributes.get("verbs", ())),
-        extra=extra,
-    )
+    """EPCIS capture attributes to service metadata, core keys split out.
+    Captures are untyped, so model, if and the extras are taken as text."""
+    data = {k: v for k, v in attributes.items() if k in ("rt", "ins", "lt", "verbs")}
+    data.update((k, str(v)) for k, v in attributes.items() if k in ("model", "if"))
+    extra = {k: str(v) for k, v in attributes.items() if k not in data and k not in _ENTRY_ATTRIBUTES}
+    return ServiceMetadata.from_dict({**data, "extra": extra})
 
 
 def _epc_instance(epc: str, attributes: dict) -> str:
@@ -546,26 +552,19 @@ class EpcisDriver:
         """Register every captured tag; returns how many changed the directory."""
         changed = 0
         for epc, attributes in sorted(self.epcis.tags.items()):
-            instance = _epc_instance(epc, attributes)
-            addr6 = self.mapper.register(epc)
+            instance, domain = _epc_instance(epc, attributes), self.directory.domain
             meta = metadata_from_attributes(attributes)
-            entry = DirectoryEntry(
-                instance=instance,
-                domain=self.directory.domain,
-                ptr_paths=(str(attributes.get("service_path", "_epc._sub._coap._udp")),),
-                srv=SrvData(
-                    priority=0,
-                    capacity=0,
-                    port=int(attributes.get("port", 5683)),
-                    target=DomainName.from_text(
-                        str(attributes.get("hostname", f"{instance}.{self.directory.domain}"))
-                    ),
-                ),
-                meta=meta,
-                addr6=addr6,
-                ttl=meta.lt,
-                origin="epcis",
-            )
+            entry = DirectoryEntry.from_dict({
+                "instance": instance,
+                "domain": domain,
+                "ptr_paths": [str(attributes.get("service_path", "_epc._sub._coap._udp"))],
+                "hostname": str(attributes.get("hostname", f"{instance}.{domain}")),
+                "port": attributes.get("port", 5683),
+                "addr6": str(ipaddress.IPv6Address(self.mapper.register(epc))),
+                "ttl": meta.lt,
+                "origin": "epcis",
+                "meta": meta.to_dict(),
+            })
             if self.directory.register(entry) != "refreshed":
                 changed += 1
         return changed

@@ -30,11 +30,11 @@ class CodecError(Exception):
     """Base for every wire-format failure."""
 
 
-class LabelTooLong(CodecError):
-    pass
+class LabelTooLong(CodecError, ValueError):
+    """Also a ValueError, as an empty label is: text that names no DNS name."""
 
 
-class NameTooLong(CodecError):
+class NameTooLong(CodecError, ValueError):
     pass
 
 

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-MAX_TXT_STRING = 255
+from .dnscodec import MAX_TXT_STRING
 
 CORE_KEYS = ("rt", "ins", "lt", "model", "if")
 WILDCARD_KEYS = {"rt": "r", "ins": "i", "lt": "l", "model": "m", "if": "f"}
@@ -35,7 +35,7 @@ class MissingResourceType(SemanticsError):
     """TXT data carried no rt key."""
 
 
-class StringTooLong(SemanticsError):
+class StringTooLong(SemanticsError, ValueError):
     """A rendered TXT character-string exceeds 255 bytes."""
 
 
@@ -105,15 +105,17 @@ class ServiceMetadata:
 
     @classmethod
     def from_dict(cls, data: dict) -> ServiceMetadata:
-        return cls(
-            rt=data["rt"],
-            ins=int(data.get("ins", 1)),
-            lt=int(data.get("lt", 86400)),
-            model=data.get("model", ""),
-            if_=data.get("if", ""),
-            verbs=data.get("verbs", ()),
-            extra=data.get("extra", {}),
-        )
+        """The one constructor from a key map: the meta of an entry file or
+        journal line, and what the TXT, compact TXT and EPCIS parsers read."""
+        rt, model, if_ = data["rt"], data.get("model", ""), data.get("if", "")
+        verbs, extra = data.get("verbs", []), data.get("extra", {})
+        if not (isinstance(rt, str) and isinstance(model, str) and isinstance(if_, str)):
+            raise TypeError("meta rt, model and if must be strings")
+        if not isinstance(verbs, list) or not all(isinstance(verb, str) for verb in verbs):
+            raise TypeError("meta verbs must be a list of strings")
+        if not isinstance(extra, dict) or not all(isinstance(value, str) for value in extra.values()):
+            raise TypeError("meta extra values must be strings")
+        return cls(rt, int(data.get("ins", 1)), int(data.get("lt", 86400)), model, if_, verbs, extra)
 
 
 def _core_pairs(meta: ServiceMetadata) -> list[tuple[str, str]]:
@@ -162,15 +164,7 @@ def from_txt(strings: list[str] | tuple[str, ...]) -> ServiceMetadata:
                 verbs.append(token)
     if "rt" not in core:
         raise MissingResourceType("no rt key in TXT data")
-    return ServiceMetadata(
-        rt=core["rt"],
-        ins=int(core.get("ins", 1)),
-        lt=int(core.get("lt", 86400)),
-        model=core.get("model", ""),
-        if_=core.get("if", ""),
-        verbs=verbs,
-        extra=extra,
-    )
+    return ServiceMetadata.from_dict({**core, "verbs": verbs, "extra": extra})
 
 
 class CompactTxt(NamedTuple):
@@ -225,15 +219,7 @@ def expand_txt(data: bytes | str) -> ServiceMetadata:
         key, _, value = token.partition("=")
         extra[key] = value
     verbs = [v for v in verb_part.split(";") if v] if bar else []
-    return ServiceMetadata(
-        rt=core["rt"],
-        ins=int(core["ins"]),
-        lt=int(core["lt"]),
-        model=core["model"],
-        if_=core["if"],
-        verbs=verbs,
-        extra=extra,
-    )
+    return ServiceMetadata.from_dict({**core, "verbs": verbs, "extra": extra})
 
 
 # --- CoRE link format ---------------------------------------------------------

@@ -161,7 +161,7 @@ def _result(row: PointerSummary) -> dict:
         "domain": row.domain,
         "instance": row.instance,
         "service_path": row.service_path,
-        "geo": {"lat": row.geo.lat, "lon": row.geo.lon} if row.geo else None,
+        "geo": row.geo.to_dict() if row.geo else None,
     }
 
 

@@ -153,7 +153,10 @@ def test_register_bad_file_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("instance", 5), ("domain", 5), ("hostname", 5), ("ptr_paths", "_coap._udp"),
-     ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": False, "lon": -1.1})],
+     ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": False, "lon": -1.1}),
+     ("meta", {"rt": "light", "verbs": "onoff"}), pytest.param("instance", "i" * 64, id="instance-label"),
+     pytest.param("hostname", "h" * 64 + ".rd.esiot.com", id="hostname-label"),
+     pytest.param("meta", {"rt": "light", "extra": {"note": "n" * 250}}, id="txt-string")],
 )
 def test_register_entry_with_a_mistyped_field_exits_one(tmp_path, capsys, field, value):
     path = entry_file(tmp_path, [dict(fixtures.light_lab_entry().to_dict(), **{field: value})])
@@ -161,6 +164,15 @@ def test_register_entry_with_a_mistyped_field_exits_one(tmp_path, capsys, field,
     assert main(["register", path, "--journal", str(journal)]) == 1
     assert capsys.readouterr().err.startswith(f"digstack: {path}: entry 1: ")
     assert not journal.exists() or journal.read_text() == ""  # nothing was journaled
+
+
+def test_unservable_journal_line_stops_the_directory_with_its_line(tmp_path, capsys):
+    journal = tmp_path / "dir.journal"
+    bad = dict(fixtures.light_lab_entry().to_dict(), hostname="h" * 64 + ".rd.esiot.com")
+    journal.write_text(json.dumps({"op": "register", "entry": bad}) + "\n")
+    argv = ["digrectory", "--domain", fixtures.DOMAIN, "--journal", str(journal), "--listen", "127.0.0.1:0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("digstack: journal: entry 1: label of 64 bytes")
 
 
 def test_register_domain_mismatch_exits_one(tmp_path, capsys):

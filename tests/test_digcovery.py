@@ -488,6 +488,7 @@ def test_parse_query_shapes():
         {"wildcard": 7},
         {"fuzzy": {"rt": "light"}},
         "not json at all {",
+        {"geo_range": {"latitude": {"from": "1", "to": True}, "longitude": {"from": 0, "to": 1}}},
     ],
 )
 def test_parse_query_rejects(bad):

@@ -393,6 +393,14 @@ def test_load_entry_file(tmp_path):
 MISTYPED_ENTRY_FIELDS = [
     ("instance", 5), ("domain", 5), ("hostname", 5), ("ptr_paths", "_coap._udp"), ("ptr_paths", ["_coap._udp", 5]),
     ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": True, "lon": -1.1}), ("geo", {"lat": 38.0, "lon": None}),
+    ("meta", {"rt": "light", "verbs": "onoff"}), ("meta", {"rt": "light", "model": 5}),
+    ("meta", {"rt": "light", "if": 5}), ("meta", {"rt": "light", "extra": {"area": 1}}),
+    # not servable over DNS (RFC 1035): a label over 63 bytes, a name over 255, a TXT string over 255
+    pytest.param("instance", "i" * 64, id="instance-label"),
+    pytest.param("hostname", "h" * 64 + ".rd.esiot.com", id="hostname-label"),
+    pytest.param("hostname", ".".join(["h" * 60] * 5), id="hostname-name"),
+    pytest.param("ptr_paths", ["_" + "p" * 63 + "._coap._udp"], id="path-label"),
+    pytest.param("meta", {"rt": "light", "extra": {"note": "n" * 250}}, id="txt-string"),
 ]
 
 
@@ -411,6 +419,28 @@ def test_entry_with_a_mistyped_field_is_a_parse_error(tmp_path, field, value):
     with pytest.raises(ParseError) as err:
         Digrectory(fixtures.DOMAIN, journal_path=str(journal))
     assert err.value.position == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("instance", "i" * 64), ("ptr_paths", ("_" + "p" * 63 + "._coap._udp",)),
+    ("meta", ServiceMetadata(rt="light", extra={"note": "n" * 250})),
+], ids=["instance-label", "path-label", "txt-string"])
+def test_journaled_register_refuses_what_its_replay_would(tmp_path, field, value):
+    journal = tmp_path / "directory.journal"
+    d = Digrectory(fixtures.DOMAIN, journal_path=str(journal))
+    d.register(light("good_one"))
+    bad = light("bad")
+    setattr(bad, field, value)
+    with pytest.raises(ValueError):
+        d.register(bad)
+    d.register(light("good_two"))
+    assert [e.instance for e in Digrectory(fixtures.DOMAIN, journal_path=str(journal)).live_entries()] == [
+        "good_one", "good_two"
+    ]
+    # the directory still answers: a hit, a miss and a browse
+    assert d.answer(query(f"good_two.{fixtures.DOMAIN}", RType.SRV)).header.rcode == 0
+    assert d.answer(query(f"missing.{fixtures.DOMAIN}", RType.SRV)).header.rcode == 3
+    assert len(d.answer(query(fixtures.SERVICE_PATH, RType.PTR)).answers) == 2
 
 
 # --- pointer summaries and the publisher ---------------------------------------------
@@ -514,6 +544,13 @@ def test_entry_from_instance_records():
     assert d.register(entry) == "created"
 
 
+def test_adopting_metadata_longer_than_one_txt_string_is_refused():
+    long_meta = ServiceMetadata(rt="light", extra={"note": "n" * 250})
+    records = InstanceRecords(f"{fixtures.INSTANCE}.local", fixtures.srv_record().rdata, long_meta, fixtures.HOST_ADDR6)
+    with pytest.raises(ValueError):
+        entry_from_instance_records(records, fixtures.DOMAIN, (fixtures.SERVICE_PATH,))
+
+
 # --- EPCIS bridge --------------------------------------------------------------------
 
 
@@ -532,6 +569,31 @@ def test_metadata_from_attributes_splits_core_and_extra():
     meta = metadata_from_attributes(tag_attributes())
     assert meta.rt == "pallet" and meta.extra == {"lot": "L000"}
     assert meta.verbs == ["status"]
+
+
+def test_synced_tag_entry_and_journal_line_are_pinned(tmp_path):
+    journal = tmp_path / "directory.journal"
+    d = Digrectory(fixtures.DOMAIN, journal_path=str(journal))
+    epcis = MockEpcis()
+    epc = "urn:epc:id:sgtin:0614141.107346.2017"
+    epcis.capture(epc, dict(tag_attributes(), lt=3600, batch=7))  # captures are untyped: batch is an int
+    assert EpcisDriver(epcis, d).sync() == 1
+    entry = {
+        "instance": "tag_0614141_107346_2017", "domain": "rd.esiot.com", "ptr_paths": ["_epc._sub._coap._udp"],
+        "hostname": "tag_0614141_107346_2017.rd.esiot.com", "port": 5683, "priority": 0, "capacity": 0,
+        "addr6": "fd00:6570:6373:0:1c16:bdab:404e:415d", "addr4": None, "ttl": 3600, "geo": None, "origin": "epcis",
+        "meta": {"rt": "pallet", "ins": 1, "lt": 3600, "model": "rfid", "if": "core.s", "verbs": ["status"],
+                 "extra": {"lot": "L000", "batch": "7"}},
+    }
+    assert [e.to_dict() for e in d.live_entries()] == [entry]
+    assert journal.read_bytes() == (
+        b'{"op": "register", "entry": {"instance": "tag_0614141_107346_2017", "domain": "rd.esiot.com", '
+        b'"ptr_paths": ["_epc._sub._coap._udp"], "hostname": "tag_0614141_107346_2017.rd.esiot.com", '
+        b'"port": 5683, "priority": 0, "capacity": 0, "addr6": "fd00:6570:6373:0:1c16:bdab:404e:415d", '
+        b'"addr4": null, "ttl": 3600, "geo": null, "origin": "epcis", "meta": {"rt": "pallet", "ins": 1, '
+        b'"lt": 3600, "model": "rfid", "if": "core.s", "verbs": ["status"], '
+        b'"extra": {"lot": "L000", "batch": "7"}}}}\n'
+    )
 
 
 def test_mapper_is_deterministic_and_reversible():

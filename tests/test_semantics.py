@@ -103,6 +103,14 @@ def test_txt_roundtrip_single(meta):
     assert from_txt([to_txt(meta)]) == meta
 
 
+@pytest.mark.parametrize(
+    "field, value", [("verbs", "onoff"), ("verbs", ["onoff", 5]), ("model", 5), ("if", 5), ("extra", {"area": 1})]
+)
+def test_metadata_from_dict_refuses_a_mistyped_field(field, value):
+    with pytest.raises(TypeError, match=field):
+        ServiceMetadata.from_dict({"rt": "light", field: value})
+
+
 @settings(max_examples=200, deadline=None)
 @given(_metadata)
 def test_metadata_dict_roundtrip(meta):
