@@ -25,7 +25,7 @@ from .digrectory import (
     load_entry_file,
 )
 from .dnscodec import RType
-from .dnsserver import UdpDnsServer
+from .dnsserver import UdpDnsServer, join_hostport
 from .lmdns import UdpTransport, ask
 from .semantics import SemanticsError, expand_txt, to_txt
 from .webapi import (
@@ -52,13 +52,25 @@ def _fail(message: str) -> int:
 
 
 class BadAddress(ValueError):
-    """A host:port argument whose port is not an integer in 0-65535."""
+    """A host:port argument whose port is not an integer in 0-65535, or
+    whose IPv6 host is not in brackets."""
 
 
 def _hostport(text: str, default_port: int) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep:
-        return text, default_port
+    """`host:port` or `[v6]:port`, the port optional; the host comes back
+    without brackets."""
+    host, port = text, None
+    if text.startswith("["):
+        host, sep, rest = text[1:].partition("]")
+        if not sep or rest[:1] not in ("", ":"):
+            raise BadAddress(f"bad address {text!r}: expected [host]:port")
+        port = rest[1:] if rest else None
+    elif ":" in text:
+        host, _, port = text.rpartition(":")
+        if ":" in host:
+            raise BadAddress(f"bad address {text!r}: an IPv6 host goes in brackets, as in [::1]:5300")
+    if port is None:
+        return host, default_port
     if not (port.isascii() and port.isdigit() and int(port) <= 65535):
         raise BadAddress(f"bad port in {text!r}: expected an integer in 0-65535")
     return host, int(port)
@@ -90,6 +102,7 @@ def cmd_digrectory(args) -> int:
     except OSError as err:
         return _fail(f"listen {args.listen}: {err}")
     bound_host, bound_port = server.address
+    dns = join_hostport(bound_host, bound_port)
 
     publisher = None
     if args.publish:
@@ -113,10 +126,10 @@ def cmd_digrectory(args) -> int:
             "ready": True,
             "role": "digrectory",
             "domain": args.domain,
-            "dns": f"{bound_host}:{bound_port}",
+            "dns": dns,
             "entries": len(directory.live_entries()),
         },
-        f"digrectory ready domain={args.domain} dns={bound_host}:{bound_port}",
+        f"digrectory ready domain={args.domain} dns={dns}",
     )
 
     stop = _stop_event()
@@ -167,9 +180,9 @@ def cmd_digcovery(args) -> int:
             "ready": True,
             "role": "digcovery",
             "http": http.url,
-            "dns": "%s:%d" % dns.address,
+            "dns": join_hostport(*dns.address),
         },
-        f"digcovery ready http={http.url} dns=%s:%d" % dns.address,
+        f"digcovery ready http={http.url} dns={join_hostport(*dns.address)}",
     )
     try:
         _stop_event().wait()
@@ -235,7 +248,7 @@ def cmd_discover(args) -> int:
         _emit(
             args,
             {"pattern": args.pattern, "domains": domains},
-            "\n".join(f"{d['domain']} dns={d['host']}:{d['dns_port']}" for d in domains)
+            "\n".join(f"{d['domain']} dns={join_hostport(d['host'], d['dns_port'])}" for d in domains)
             or "(no matching domains)",
         )
         return OK if domains else NOT_FOUND
@@ -261,11 +274,12 @@ def cmd_resolve(args) -> int:
         host, port = match[0]["host"], match[0]["dns_port"]
 
     name = f"{args.instance}.{args.domain}"
-    transport = UdpTransport()
+    where = join_hostport(host, port)
+    transport = UdpTransport(("::" if ":" in host else "0.0.0.0", 0))  # the family of the host asked
     try:
         srv_reply = ask(transport, (host, port), name, RType.SRV, args.timeout)
         if srv_reply is None:
-            return _fail(f"no answer from {host}:{port}")
+            return _fail(f"no answer from {where}")
         if srv_reply.header.rcode != 0 or not srv_reply.answers:
             print(f"digstack: {name} not found", file=sys.stderr)
             return NOT_FOUND
@@ -286,7 +300,7 @@ def cmd_resolve(args) -> int:
                     str(ipaddress.IPv6Address(packed) if rrtype == RType.AAAA else ipaddress.IPv4Address(packed))
                 )
     except OSError:
-        return _fail(f"no answer from {host}:{port}")
+        return _fail(f"no answer from {where}")
     finally:
         transport.close()
 

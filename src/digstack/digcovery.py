@@ -109,7 +109,9 @@ class PointerSummary:
         if not (isinstance(instance, str) and isinstance(path, str)
                 and isinstance(domain, str) and isinstance(rt, str)):
             raise TypeError("instance, service_path, domain and rt must be strings")
-        revision, removed = int(data.get("revision", 0)), bool(data.get("removed", False))
+        revision, removed = data.get("revision", 0), data.get("removed", False)
+        if type(revision) is not int or type(removed) is not bool:
+            raise TypeError("revision must be an integer and removed a bool")
         return cls(instance, path, domain, rt, GeoPoint.from_dict(data.get("geo")), revision, removed)
 
 
@@ -136,11 +138,14 @@ class DomainRecord:
     def from_dict(cls, data: dict) -> DomainRecord:
         if not (isinstance(data["domain"], str) and isinstance(data["host"], str)):
             raise TypeError("domain and host must be strings")
+        dns_port, http_port = data["dns_port"], data.get("http_port", 0)
+        if type(dns_port) is not int or type(http_port) is not int:
+            raise TypeError("dns_port and http_port must be integers")
         return cls(
             domain=data["domain"],
             host=data["host"],
-            dns_port=int(data["dns_port"]),
-            http_port=int(data.get("http_port", 0)),
+            dns_port=dns_port,
+            http_port=http_port,
             owner=str(data.get("owner", "")),
         )
 

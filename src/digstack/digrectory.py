@@ -145,21 +145,20 @@ class DirectoryEntry:
             raise TypeError("instance, domain and hostname must be strings")
         if not isinstance(paths, list) or not all(isinstance(path, str) for path in paths):
             raise TypeError("ptr_paths must be a list of strings")
+        port, priority, capacity = data["port"], data.get("priority", 0), data.get("capacity", 0)
+        ttl = data.get("ttl", 604800)
+        if not all(type(n) is int for n in (port, priority, capacity, ttl)):
+            raise TypeError("port, priority, capacity and ttl must be integers")
         meta = ServiceMetadata.from_dict(data.get("meta", {}))
         return cls(
             instance=instance,
             domain=domain,
             ptr_paths=tuple(paths),
-            srv=SrvData(
-                priority=int(data.get("priority", 0)),
-                capacity=int(data.get("capacity", 0)),
-                port=int(data["port"]),
-                target=DomainName.from_text(hostname),
-            ),
+            srv=SrvData(priority, capacity, port, DomainName.from_text(hostname)),
             meta=meta,
             addr6=ipaddress.IPv6Address(data["addr6"]).packed if data.get("addr6") else None,
             addr4=ipaddress.IPv4Address(data["addr4"]).packed if data.get("addr4") else None,
-            ttl=int(data.get("ttl", 604800)),
+            ttl=ttl,
             geo=GeoPoint.from_dict(data.get("geo")),
             origin=data.get("origin", "local"),
         ).servable()
@@ -517,8 +516,10 @@ _ENTRY_ATTRIBUTES = ("instance", "service_path", "port", "hostname")  # shape th
 
 def metadata_from_attributes(attributes: dict) -> ServiceMetadata:
     """EPCIS capture attributes to service metadata, core keys split out.
-    Captures are untyped, so model, if and the extras are taken as text."""
-    data = {k: v for k, v in attributes.items() if k in ("rt", "ins", "lt", "verbs")}
+    Captures are untyped, so ins and lt are read as integers, and model,
+    if and the extras as text."""
+    data = {k: v for k, v in attributes.items() if k in ("rt", "verbs")}
+    data.update((k, int(v)) for k, v in attributes.items() if k in ("ins", "lt"))
     data.update((k, str(v)) for k, v in attributes.items() if k in ("model", "if"))
     extra = {k: str(v) for k, v in attributes.items() if k not in data and k not in _ENTRY_ATTRIBUTES}
     return ServiceMetadata.from_dict({**data, "extra": extra})
@@ -559,7 +560,7 @@ class EpcisDriver:
                 "domain": domain,
                 "ptr_paths": [str(attributes.get("service_path", "_epc._sub._coap._udp"))],
                 "hostname": str(attributes.get("hostname", f"{instance}.{domain}")),
-                "port": attributes.get("port", 5683),
+                "port": int(attributes.get("port", 5683)),
                 "addr6": str(ipaddress.IPv6Address(self.mapper.register(epc))),
                 "ttl": meta.lt,
                 "origin": "epcis",

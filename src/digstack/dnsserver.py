@@ -1,10 +1,11 @@
-"""Threaded UDP DNS server shell shared by the directory, the lookup
-frontend and smart objects on real sockets."""
+"""The one server shell for every daemon socket, and the UDP DNS server
+that the directory, the lookup frontend and smart objects run on it."""
 
 from __future__ import annotations
 
 import logging
 import socket
+import socketserver
 import threading
 from typing import Callable, Optional
 
@@ -12,11 +13,62 @@ from .dnscodec import CodecError, DnsMessage, decode, encode, response_for, trun
 
 UDP_PAYLOAD_LIMIT = 512
 SERVFAIL = 2
+POLL_INTERVAL = 0.2  # seconds between checks for stop()
 
 log = logging.getLogger(__name__)
 
 
-class UdpDnsServer:
+def family_for(host: str) -> socket.AddressFamily:
+    """IPv6 for a host that holds a colon (an IPv6 literal), IPv4 otherwise,
+    so the wildcard "" and "localhost" stay on IPv4."""
+    return socket.AF_INET6 if ":" in host else socket.AF_INET
+
+
+def join_hostport(host: str, port: int) -> str:
+    """`host:port`, with an IPv6 host in brackets."""
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
+class ServerShell:
+    """Start, stop and the context manager for a `socketserver` server.
+
+    The address family follows the host.  `start` serves on a daemon
+    thread; a request that raises is logged and the server goes on.
+    """
+
+    allow_reuse_address = True
+    _thread: threading.Thread | None = None
+
+    def __init__(self, address: tuple[str, int], handler) -> None:
+        self.address_family = family_for(address[0])
+        super().__init__(address, handler)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[:2]
+
+    def start(self):
+        self._thread = threading.Thread(target=self.serve_forever, args=(POLL_INTERVAL,), daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        if self._thread is not None:  # shutdown() waits for a serve_forever that must have begun
+            self.shutdown()
+            self._thread.join()
+        self.server_close()
+
+    def handle_error(self, request, client_address) -> None:
+        log.exception("request from %s failed", client_address)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+
+class UdpDnsServer(ServerShell, socketserver.UDPServer):
     """Decode, hand to the answer function, encode, reply.
 
     Undecodable datagrams and None answers are dropped silently, as a
@@ -26,6 +78,8 @@ class UdpDnsServer:
     knows to narrow the query.
     """
 
+    max_packet_size = 65535
+
     def __init__(
         self,
         answer: Callable[[DnsMessage], Optional[DnsMessage]],
@@ -33,41 +87,15 @@ class UdpDnsServer:
         port: int = 0,
     ) -> None:
         self._answer = answer
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._sock.bind((host, port))
-        except OSError:
-            self._sock.close()
-            raise
-        self._sock.settimeout(0.2)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        super().__init__((host, port), None)
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._sock.getsockname()[:2]
-
-    def start(self) -> UdpDnsServer:
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                data, peer = self._sock.recvfrom(65535)
-            except socket.timeout:
-                continue
-            except OSError:
-                break  # the socket was closed by stop()
-            wire = self._reply(data)
-            if wire is None:
-                continue
-            try:
-                self._sock.sendto(wire, peer)
-            except OSError:
-                log.warning("reply to %s not sent", peer, exc_info=True)
+    def finish_request(self, request, client_address) -> None:
+        """Answer one datagram in place of a handler class; a send that
+        fails goes to `handle_error` like any other failure."""
+        data, sock = request
+        wire = self._reply(data)
+        if wire is not None:
+            sock.sendto(wire, client_address)
 
     def _reply(self, data: bytes) -> bytes | None:
         try:
@@ -83,15 +111,3 @@ class UdpDnsServer:
             log.exception("answer to query %d failed", query.header.id)
             wire = encode(response_for(query, (), rcode=SERVFAIL))
         return truncate(wire, UDP_PAYLOAD_LIMIT)
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        self._sock.close()
-
-    def __enter__(self) -> UdpDnsServer:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -28,6 +28,7 @@ from .dnscodec import (
     decode,
     encode,
 )
+from .dnsserver import family_for
 from .semantics import ServiceMetadata, from_txt
 
 MDNS_GROUP = "224.0.0.251"
@@ -77,8 +78,6 @@ class SmartObjectProfile:
     aliases: list[str] = field(default_factory=list)
     addr4: bytes | None = None
     ttl: int = 604800
-    priority: int = 0
-    capacity: int = 0
 
     def __post_init__(self) -> None:
         if "." in self.instance:
@@ -99,7 +98,7 @@ class SmartObjectProfile:
             instance=self.instance,
             domain=self.domain,
             ptr_paths=(self.service_path, *self.aliases),
-            srv=SrvData(self.priority, self.capacity, self.port, target),
+            srv=SrvData(0, 0, self.port, target),
             meta=self.meta,
             addr6=self.addr6,
             addr4=self.addr4,
@@ -235,12 +234,13 @@ class UdpTransport:
     """Datagram transport over a real socket with the probe/poll contract.
 
     Probes go to the mDNS group address; a caller on plain loopback points
-    `multicast_address` at the responder instead.
+    `multicast_address` at the responder instead.  The socket's family
+    follows the bind host, as a server's does.
     """
 
     def __init__(self, bind: tuple[str, int] = ("0.0.0.0", 0)) -> None:
         self.multicast_address = (MDNS_GROUP, MDNS_PORT)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._sock = socket.socket(family_for(bind[0]), socket.SOCK_DGRAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind(bind)
         self.address = self._sock.getsockname()

@@ -1,6 +1,6 @@
 """Semantic layer: service metadata, TXT key=value serialization, the
-single-record compaction for constrained links, the CoRE link format,
-its JSON mapping, and the interface-to-method table.
+single-record compaction for constrained links, the CoRE link format
+and its JSON mapping.
 
 The compact form replaces well-known keys by one-letter wildcards and
 moves verbs behind a ``|`` marker.  The key table is part of the wire
@@ -106,7 +106,9 @@ class ServiceMetadata:
     @classmethod
     def from_dict(cls, data: dict) -> ServiceMetadata:
         """The one constructor from a key map: the meta of an entry file or
-        journal line, and what the TXT, compact TXT and EPCIS parsers read."""
+        journal line, and what the TXT, compact TXT and EPCIS parsers read.
+        `ins` and `lt` must be integers; those parsers read untyped values,
+        so they convert them first."""
         rt, model, if_ = data["rt"], data.get("model", ""), data.get("if", "")
         verbs, extra = data.get("verbs", []), data.get("extra", {})
         if not (isinstance(rt, str) and isinstance(model, str) and isinstance(if_, str)):
@@ -115,7 +117,15 @@ class ServiceMetadata:
             raise TypeError("meta verbs must be a list of strings")
         if not isinstance(extra, dict) or not all(isinstance(value, str) for value in extra.values()):
             raise TypeError("meta extra values must be strings")
-        return cls(rt, int(data.get("ins", 1)), int(data.get("lt", 86400)), model, if_, verbs, extra)
+        ins, lt = data.get("ins", 1), data.get("lt", 86400)
+        if type(ins) is not int or type(lt) is not int:
+            raise TypeError("meta ins and lt must be integers")
+        return cls(rt, ins, lt, model, if_, verbs, extra)
+
+
+def _text_ints(core: dict[str, str]) -> dict:
+    """Parsed core pairs with the integer keys read as integers."""
+    return {k: int(v) if k in ("ins", "lt") else v for k, v in core.items()}
 
 
 def _core_pairs(meta: ServiceMetadata) -> list[tuple[str, str]]:
@@ -164,7 +174,7 @@ def from_txt(strings: list[str] | tuple[str, ...]) -> ServiceMetadata:
                 verbs.append(token)
     if "rt" not in core:
         raise MissingResourceType("no rt key in TXT data")
-    return ServiceMetadata.from_dict({**core, "verbs": verbs, "extra": extra})
+    return ServiceMetadata.from_dict({**_text_ints(core), "verbs": verbs, "extra": extra})
 
 
 class CompactTxt(NamedTuple):
@@ -219,7 +229,7 @@ def expand_txt(data: bytes | str) -> ServiceMetadata:
         key, _, value = token.partition("=")
         extra[key] = value
     verbs = [v for v in verb_part.split(";") if v] if bar else []
-    return ServiceMetadata.from_dict({**core, "verbs": verbs, "extra": extra})
+    return ServiceMetadata.from_dict({**_text_ints(core), "verbs": verbs, "extra": extra})
 
 
 # --- CoRE link format ---------------------------------------------------------
@@ -356,45 +366,3 @@ def link_list_to_json(entries: list[LinkEntry]) -> str:
             obj[key] = list(value) if isinstance(value, list) else value
         out.append(obj)
     return json.dumps(out)
-
-
-# --- interface method table ---------------------------------------------------
-
-HTTP_METHODS = frozenset({"GET", "PUT", "POST", "DELETE"})
-
-
-@dataclass(frozen=True)
-class InterfaceKind:
-    name: str
-    allowed_methods: frozenset[str]
-
-
-def _kind(name: str, *methods: str) -> InterfaceKind:
-    return InterfaceKind(name, frozenset(methods))
-
-
-CORE_INTERFACES: dict[str, InterfaceKind] = {
-    kind.name: kind
-    for kind in (
-        _kind("core.ll", "GET"),
-        _kind("core.b", "GET", "PUT", "POST"),
-        _kind("core.lb", "GET", "PUT", "POST", "DELETE"),
-        _kind("core.s", "GET"),
-        _kind("core.p", "GET", "PUT"),
-        _kind("core.rp", "GET"),
-        _kind("core.a", "GET", "PUT", "POST"),
-        _kind("core.bnd", "GET", "POST", "DELETE"),
-    )
-}
-
-
-def interface_allows(kind: InterfaceKind | str, method: str) -> bool:
-    """True when `method` is legal on resources of the given interface."""
-    if method not in HTTP_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(kind, str):
-        try:
-            kind = CORE_INTERFACES[kind]
-        except KeyError:
-            raise ValueError(f"unknown interface {kind!r}") from None
-    return method in kind.allowed_methods

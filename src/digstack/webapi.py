@@ -14,7 +14,6 @@ returns everything unless told otherwise.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -32,6 +31,7 @@ from .digcovery import (
     parse_query,
 )
 from .dnscodec import DnsMessage, DomainName, ResourceRecord, RType, response_for
+from .dnsserver import ServerShell, join_hostport
 
 DEFAULT_PAGE_LIMIT = 100
 
@@ -175,41 +175,16 @@ def _result_json(row: PointerSummary) -> str:
     return text
 
 
-class DigcoveryHttpServer:
-    """Threaded HTTP wrapper around one Digcovery core."""
+class DigcoveryHttpServer(ServerShell, ThreadingHTTPServer):
+    """Threaded HTTP front for one Digcovery core."""
 
     def __init__(self, core: Digcovery, host: str = "127.0.0.1", port: int = 0) -> None:
         self.core = core
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.core = core  # type: ignore[attr-defined]
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
+        super().__init__((host, port), _Handler)
 
     @property
     def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> DigcoveryHttpServer:
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        self._httpd.server_close()
-
-    def __enter__(self) -> DigcoveryHttpServer:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        return "http://" + join_hostport(*self.address)
 
 
 def dns_front_answer(core: Digcovery, query: DnsMessage) -> Optional[DnsMessage]:

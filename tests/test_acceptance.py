@@ -64,6 +64,7 @@ from digstack.semantics import (
 )
 from digstack.webapi import DigcoveryHttpServer, HttpDigcoveryClient
 from oracle_queries import oracle_hits, random_query, random_summaries
+import samples
 
 BUDGET = FrameBudget()  # 127-byte frames, worst-case 41-byte overhead
 
@@ -208,12 +209,12 @@ def test_c05_cache_policy_and_transparency(big_engine):
 
 
 def test_c06_geo_box_selects_exactly_the_courtyard():
-    rows = fixtures.campus_summaries()
+    rows = samples.campus_summaries()
     core = Digcovery()
     core.register_domain(DomainRecord(fixtures.DOMAIN, "127.0.0.1", 5300))
     core.ingest(fixtures.DOMAIN, rows)
 
-    node = parse_query(fixtures.campus_box_query())
+    node = parse_query(samples.campus_box_query())
     hits = core.execute(node)
     assert {h.instance for h in hits} == {"light_lab", "thermo_lab"}
     assert len(hits) == 2
@@ -352,15 +353,15 @@ def test_c07_codec_roundtrips_and_survives_hostile_input():
 
 
 def test_c08_link_listings_and_json_mapping():
-    device = parse_link_format(fixtures.DEVICE_LINK_PAYLOAD)
+    device = parse_link_format(samples.DEVICE_LINK_PAYLOAD)
     assert len(device) == 9
     by_href = {e.href: e for e in device}
     assert by_href["/s/tmp"].attrs["obs"] == ""
     assert by_href["/a/1/led"].attrs["rt"] == "simple.act.led"
 
-    sensors = parse_link_format(fixtures.SENSOR_LINK_PAYLOAD)
+    sensors = parse_link_format(samples.SENSOR_LINK_PAYLOAD)
     produced = json.loads(link_list_to_json(sensors), object_pairs_hook=list)
-    expected = json.loads(fixtures.SENSOR_LINK_JSON, object_pairs_hook=list)
+    expected = json.loads(samples.SENSOR_LINK_JSON, object_pairs_hook=list)
     assert produced == expected  # same keys, same order, same values
 
     doubled = parse_link_format('</x>;rel="a";rel="b";if="core.s"')

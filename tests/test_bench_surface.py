@@ -57,7 +57,7 @@ def test_paper_checks_report_no_problems(tracing):
 def test_http_replies_go_through_the_traced_core_methods(tracing):
     # the per-layer metrics read the core's spans; a reply path that went
     # around `execute_cached` or `discover` would make them read 0
-    from digstack import fixtures
+    import samples
     from digstack.digcovery import Digcovery, DomainRecord
     from digstack.webapi import DigcoveryHttpServer, HttpDigcoveryClient
 
@@ -67,7 +67,7 @@ def test_http_replies_go_through_the_traced_core_methods(tracing):
         with DigcoveryHttpServer(Digcovery()) as server:
             client = HttpDigcoveryClient(server.url)
             client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
-            client.publish_pointers("rd.esiot.com", fixtures.campus_summaries())
+            client.publish_pointers("rd.esiot.com", samples.campus_summaries())
             tracer.enabled = True
             assert len(client.query({"bool": {}})["results"]) == 5
             assert [d["domain"] for d in client.discover("_lamp.*")] == ["rd.esiot.com"]

@@ -20,6 +20,7 @@ from digstack.digcovery import Digcovery, DomainRecord
 from digstack.digrectory import Digrectory
 from digstack.dnsserver import UdpDnsServer
 from digstack.webapi import DigcoveryHttpServer
+import samples
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str]:
@@ -105,6 +106,21 @@ def test_bad_port_exits_one_with_a_message(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "a", "b", "--dns", "::1:5300"],
+        ["resolve", "a", "b", "--dns", "[::1"],
+        ["digrectory", "--domain", "x", "--listen", "::1"],
+        ["digcovery", "--listen", "127.0.0.1:0", "--dns-listen", "[::1]5453"],
+    ],
+)
+def test_bad_ipv6_address_exits_one_with_a_message(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("digstack: bad address ")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["digrectory", "--domain", "x", "--listen", "192.0.2.1:0"], "digstack: listen 192.0.2.1:0: "),
@@ -156,7 +172,8 @@ def test_register_bad_file_exits_one(tmp_path, capsys):
      ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": False, "lon": -1.1}),
      ("meta", {"rt": "light", "verbs": "onoff"}), pytest.param("instance", "i" * 64, id="instance-label"),
      pytest.param("hostname", "h" * 64 + ".rd.esiot.com", id="hostname-label"),
-     pytest.param("meta", {"rt": "light", "extra": {"note": "n" * 250}}, id="txt-string")],
+     pytest.param("meta", {"rt": "light", "extra": {"note": "n" * 250}}, id="txt-string"),
+     ("port", "1234")],
 )
 def test_register_entry_with_a_mistyped_field_exits_one(tmp_path, capsys, field, value):
     path = entry_file(tmp_path, [dict(fixtures.light_lab_entry().to_dict(), **{field: value})])
@@ -173,6 +190,15 @@ def test_unservable_journal_line_stops_the_directory_with_its_line(tmp_path, cap
     argv = ["digrectory", "--domain", fixtures.DOMAIN, "--journal", str(journal), "--listen", "127.0.0.1:0"]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("digstack: journal: entry 1: label of 64 bytes")
+
+
+def test_config_with_a_non_integer_port_exits_one(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domains": [{"domain": "d", "host": "127.0.0.1", "dns_port": True}]}))
+    # the config is read before any socket is bound, so an unbindable
+    # address is never reached
+    assert main(["digcovery", "--config", str(config), "--listen", "192.0.2.1:0"]) == 1
+    assert capsys.readouterr().err.startswith("digstack: config: dns_port and http_port")
 
 
 def test_register_domain_mismatch_exits_one(tmp_path, capsys):
@@ -219,7 +245,7 @@ def test_discover_pattern_and_exit_codes(stack, capsys):
 def test_discover_query_file(stack, tmp_path, capsys):
     url, _ = stack
     qfile = tmp_path / "query.json"
-    qfile.write_text(json.dumps({"query": fixtures.campus_box_query()}))
+    qfile.write_text(json.dumps({"query": samples.campus_box_query()}))
     code, out = run_cli(capsys, ["--json", "--digcovery", url, "discover", "--query", str(qfile)])
     assert code == 0
     hits = json.loads(out)["results"]
@@ -284,7 +310,8 @@ def spawn(argv: list[str]):
         ready = json.loads(lines.get(timeout=15))
     except (queue.Empty, json.JSONDecodeError):
         proc.terminate()
-        raise AssertionError(f"daemon not ready: {proc.stderr.read()}")
+        _, err = proc.communicate(timeout=10)  # and close the pipes, so no other test sees them unclosed
+        raise AssertionError(f"daemon not ready: {err}")
     assert ready.get("ready") is True
     return proc, ready
 
@@ -365,6 +392,34 @@ def test_daemons_end_to_end(tmp_path):
             resolved = run_verb("--digcovery", url, "resolve", "light_lab", fixtures.DOMAIN)
             assert resolved.returncode == 0, resolved.stderr
             assert json.loads(resolved.stdout)["port"] == 1234
+        finally:
+            stop(directory_proc)
+    finally:
+        stop(lookup)
+
+
+def test_daemons_end_to_end_over_ipv6(tmp_path):
+    lookup, ready = spawn(["digcovery", "--listen", "[::1]:0", "--dns-listen", "[::1]:0"])
+    try:
+        url = ready["http"]
+        assert url.startswith("http://[::1]:") and ready["dns"].startswith("[::1]:")
+        journal = tmp_path / "daemon.journal"
+        directory_proc, directory_ready = spawn(
+            ["--digcovery", url, "digrectory", "--domain", fixtures.DOMAIN, "--listen", "[::1]:0",
+             "--journal", str(journal), "--publish", "--publish-interval", "0.2"]
+        )
+        try:
+            registered = run_verb("register", entry_file(tmp_path), "--journal", str(journal))
+            assert registered.returncode == 0, registered.stderr
+            found = until_ok("--digcovery", url, "discover", "_lamp.*")
+            assert found.returncode == 0, found.stderr
+            (domain,) = json.loads(found.stdout)["domains"]
+            assert domain["host"] == "::1"  # a bare address, as a client asks it
+            resolved = run_verb("--digcovery", url, "resolve", "light_lab", fixtures.DOMAIN)
+            assert resolved.returncode == 0, resolved.stderr
+            assert json.loads(resolved.stdout)["port"] == 1234
+            direct = run_verb("resolve", "light_lab", fixtures.DOMAIN, "--dns", directory_ready["dns"])
+            assert direct.returncode == 0, direct.stderr
         finally:
             stop(directory_proc)
     finally:

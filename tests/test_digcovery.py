@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digstack import fixtures
 from digstack.digcovery import (
     Bool,
     Digcovery,
@@ -49,6 +48,7 @@ from digstack.webapi import (
     dns_front_answer,
 )
 from oracle_queries import compile_oracle, oracle_hits, random_query, random_summaries
+import samples
 
 DOMAINS = ("rd.esiot.com", "rd.other.org", "lab.example.net")
 
@@ -110,7 +110,7 @@ def test_bad_patterns_rejected():
 
 @pytest.fixture()
 def campus():
-    return make_core(fixtures.campus_summaries(), domains=("rd.esiot.com",))
+    return make_core(samples.campus_summaries(), domains=("rd.esiot.com",))
 
 
 def test_term_and_prefix(campus):
@@ -371,7 +371,7 @@ def test_register_domain_conflicts():
 
 
 def test_discover_maps_patterns_to_domains():
-    rows = fixtures.campus_summaries()
+    rows = samples.campus_summaries()
     other = [
         PointerSummary(
             instance="fan_one",
@@ -465,7 +465,7 @@ def test_parse_query_shapes():
     assert node == Bool(must=(Term("rt", "light"),), must_not=(Wildcard("_fan.*"),))
     node = parse_query({"filtered": {"filter": {"term": {"domain": "rd.esiot.com"}}}})
     assert node == Filtered(Bool(), Term("domain", "rd.esiot.com"))
-    node = parse_query(fixtures.campus_box_query())
+    node = parse_query(samples.campus_box_query())
     assert isinstance(node, Filtered)
     assert parse_query({"geo_range": {"latitude": {"from": 1, "to": 2}, "longitude": {"from": 3, "to": 4}}}) == GeoRange(1, 2, 3, 4)
     assert parse_query({"wildcard": "*.*"}) == Wildcard("*.*")
@@ -497,7 +497,7 @@ def test_parse_query_rejects(bad):
 
 
 def test_query_fixture_finds_two(campus):
-    node = parse_query(fixtures.campus_box_query())
+    node = parse_query(samples.campus_box_query())
     assert {h.instance for h in campus.execute(node)} == {"light_lab", "thermo_lab"}
 
 
@@ -595,7 +595,7 @@ def test_cache_entry_from_a_replaced_snapshot_is_never_served(c_rt, lights_befor
 
 
 def test_pointer_summary_round_trip():
-    for s in fixtures.campus_summaries():
+    for s in samples.campus_summaries():
         assert PointerSummary.from_dict(json.loads(json.dumps(s.to_dict()))) == s
     tomb = PointerSummary("a", "_x._udp", "d", "", revision=5, removed=True)
     again = PointerSummary.from_dict(tomb.to_dict())
@@ -608,7 +608,7 @@ def test_domain_record_round_trip():
         "domain": "rd.esiot.com", "host": "127.0.0.1", "dns_port": 5300, "http_port": 8080, "owner": "lab"
     }
     assert DomainRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
-    assert DomainRecord.from_dict({"domain": "d", "host": "h", "dns_port": "53"}) == DomainRecord("d", "h", 53)
+    assert DomainRecord.from_dict({"domain": "d", "host": "h", "dns_port": 53}) == DomainRecord("d", "h", 53)
 
 
 # --- HTTP API ----------------------------------------------------------------------
@@ -633,13 +633,13 @@ def test_http_register_publish_query_discover(served):
         client.register_domain(record)
     assert err.value.status == 409 and err.value.error == "duplicate-domain"
 
-    accepted = client.publish_pointers("rd.esiot.com", fixtures.campus_summaries())
+    accepted = client.publish_pointers("rd.esiot.com", samples.campus_summaries())
     assert accepted == 5
     with pytest.raises(ApiError) as err:
-        client.publish_pointers("rd.unknown.example", fixtures.campus_summaries())
+        client.publish_pointers("rd.unknown.example", samples.campus_summaries())
     assert err.value.status == 404
 
-    reply = client.query(fixtures.campus_box_query())
+    reply = client.query(samples.campus_box_query())
     assert [r["instance"] for r in reply["results"]] == ["light_lab", "thermo_lab"]
     assert reply["limit"] == 100
     reply = client.query({"bool": {}}, offset=1, limit=2)
@@ -706,7 +706,7 @@ def test_query_reply_is_json_dumps_of_its_payload_byte_for_byte(served):
         PointerSummary("back\\slash", "_coap._udp", "rd.esiot.com", "light", None, 1),
         PointerSummary("caf\u00e9_\u6771", "_coap._udp", "rd.other.org", "video", GeoPoint(-0.0, 12), 1),
     ]
-    client.publish_pointers("rd.esiot.com", fixtures.campus_summaries() + odd[:2])
+    client.publish_pointers("rd.esiot.com", samples.campus_summaries() + odd[:2])
     client.publish_pointers("rd.other.org", odd[2:])
 
     def expected(query, offset, limit, cache) -> bytes:
@@ -801,7 +801,7 @@ def test_kept_connection_queries_do_not_wait_for_delayed_acks(served):
     # waited about 40 ms for the client's delayed ACK
     core, client = served
     client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
-    client.publish_pointers("rd.esiot.com", fixtures.campus_summaries())
+    client.publish_pointers("rd.esiot.com", samples.campus_summaries())
     conn = _connect(client)
     try:
         started = time.perf_counter()
@@ -818,7 +818,7 @@ def test_kept_connection_queries_do_not_wait_for_delayed_acks(served):
 def test_negative_offset_or_limit_is_a_bad_request(served, page):
     _, client = served
     client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
-    client.publish_pointers("rd.esiot.com", fixtures.campus_summaries())
+    client.publish_pointers("rd.esiot.com", samples.campus_summaries())
     with pytest.raises(ApiError) as err:
         client.query({"bool": {}}, **page)
     assert err.value.status == 400 and err.value.error == "bad-request"
@@ -853,12 +853,12 @@ def test_negative_content_length_is_a_bad_request(served):
 def test_pointer_batch_item_that_is_not_an_object_is_a_bad_request(served, capsys):
     core, client = served
     client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
-    for batch in ([1], [None], [fixtures.campus_summaries()[0].to_dict(), "x"]):
+    for batch in ([1], [None], [samples.campus_summaries()[0].to_dict(), "x"]):
         with pytest.raises(ApiError) as err:
             client._request("POST", "/api/v1/domains/rd.esiot.com/pointers", batch)
         assert err.value.status == 400 and err.value.error == "bad-request"
     assert core.execute(Bool()) == []  # a refused batch changes nothing
-    assert client.publish_pointers("rd.esiot.com", fixtures.campus_summaries()) == 5
+    assert client.publish_pointers("rd.esiot.com", samples.campus_summaries()) == 5
     assert len(client.query({"bool": {}})["results"]) == 5
     assert "Traceback" not in capsys.readouterr().err
 
@@ -866,13 +866,14 @@ def test_pointer_batch_item_that_is_not_an_object_is_a_bad_request(served, capsy
 @pytest.mark.parametrize(
     "field, value",
     [("instance", 5), ("service_path", 5), ("domain", 5), ("rt", 5),
-     ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": True, "lon": -1.1}), ("geo", {"lat": 38.0, "lon": None})],
+     ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": True, "lon": -1.1}), ("geo", {"lat": 38.0, "lon": None}),
+     ("revision", "7"), ("revision", 1.0), ("removed", "false"), ("removed", 0)],
 )
 def test_pointer_with_a_mistyped_field_is_a_bad_request(served, field, value):
     core, client = served
     client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
-    good = fixtures.campus_summaries()[0].to_dict()
-    bad = dict(fixtures.campus_summaries()[1].to_dict(), **{field: value})
+    good = samples.campus_summaries()[0].to_dict()
+    bad = dict(samples.campus_summaries()[1].to_dict(), **{field: value})
     with pytest.raises(ApiError) as err:
         client._request("POST", "/api/v1/domains/rd.esiot.com/pointers", [good, bad])
     assert err.value.status == 400 and err.value.error == "bad-request"
@@ -882,7 +883,10 @@ def test_pointer_with_a_mistyped_field_is_a_bad_request(served, field, value):
     assert client.discover("*.*") == []
 
 
-@pytest.mark.parametrize("field, value", [("domain", 7), ("host", ["127.0.0.1"])])
+@pytest.mark.parametrize(
+    "field, value",
+    [("domain", 7), ("host", ["127.0.0.1"]), ("dns_port", "5300"), ("dns_port", True), ("http_port", 80.0)],
+)
 def test_domain_with_a_mistyped_field_is_a_bad_request(served, field, value):
     core, client = served
     body = dict(DomainRecord("rd.esiot.com", "127.0.0.1", 5300).to_dict(), **{field: value})
@@ -909,7 +913,7 @@ def ptr_query(pattern: str, qid: int = 7) -> DnsMessage:
 
 
 def test_dns_front_lists_domains():
-    core = make_core(fixtures.campus_summaries(), domains=("rd.esiot.com", "rd.other.org"))
+    core = make_core(samples.campus_summaries(), domains=("rd.esiot.com", "rd.other.org"))
     reply = dns_front_answer(core, ptr_query("_lamp._sub._coap._udp"))
     assert reply.header.rcode == 0 and len(reply.answers) == 1
     assert reply.answers[0].rdata == DomainName.from_text("rd.esiot.com")
@@ -919,7 +923,7 @@ def test_dns_front_lists_domains():
 
 
 def test_dns_front_over_udp():
-    core = make_core(fixtures.campus_summaries(), domains=("rd.esiot.com",))
+    core = make_core(samples.campus_summaries(), domains=("rd.esiot.com",))
     server = UdpDnsServer(lambda q: dns_front_answer(core, q)).start()
     try:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -395,6 +395,9 @@ MISTYPED_ENTRY_FIELDS = [
     ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": True, "lon": -1.1}), ("geo", {"lat": 38.0, "lon": None}),
     ("meta", {"rt": "light", "verbs": "onoff"}), ("meta", {"rt": "light", "model": 5}),
     ("meta", {"rt": "light", "if": 5}), ("meta", {"rt": "light", "extra": {"area": 1}}),
+    # integers only as JSON integers
+    ("port", "1234"), ("port", 1234.0), ("ttl", 600.5), ("priority", True), ("capacity", "0"),
+    ("meta", {"rt": "light", "lt": 1.9}), ("meta", {"rt": "light", "ins": True}), ("meta", {"rt": "light", "lt": "600"}),
     # not servable over DNS (RFC 1035): a label over 63 bytes, a name over 255, a TXT string over 255
     pytest.param("instance", "i" * 64, id="instance-label"),
     pytest.param("hostname", "h" * 64 + ".rd.esiot.com", id="hostname-label"),
@@ -569,6 +572,15 @@ def test_metadata_from_attributes_splits_core_and_extra():
     meta = metadata_from_attributes(tag_attributes())
     assert meta.rt == "pallet" and meta.extra == {"lot": "L000"}
     assert meta.verbs == ["status"]
+
+
+def test_untyped_capture_numbers_are_read_as_integers():
+    d = Digrectory(fixtures.DOMAIN)
+    epcis = MockEpcis()
+    epcis.capture("urn:epc:id:sgtin:0614141.1.1", dict(tag_attributes(), ins="2", lt="600", port="5684"))
+    assert EpcisDriver(epcis, d).sync() == 1
+    (entry,) = d.live_entries()
+    assert (entry.meta.ins, entry.meta.lt, entry.ttl, entry.srv.port) == (2, 600, 600, 5684)
 
 
 def test_synced_tag_entry_and_journal_line_are_pinned(tmp_path):

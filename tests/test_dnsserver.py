@@ -1,13 +1,18 @@
-"""The UDP DNS server shell: truncation, SERVFAIL, and staying up."""
+"""The server shell and the UDP DNS server on it: truncation, SERVFAIL,
+staying up, stopping, and IPv6."""
 
 from __future__ import annotations
 
+import logging
 import socket
+import threading
 
 from digstack import dnsserver, fixtures
+from digstack.digcovery import Digcovery, DomainRecord
 from digstack.digrectory import Digrectory
 from digstack.dnscodec import DnsHeader, DnsMessage, DomainName, Question, RType, decode, encode
 from digstack.dnsserver import UdpDnsServer
+from digstack.webapi import DigcoveryHttpServer, HttpDigcoveryClient
 
 
 def ask(sock: socket.socket, address, name: str, rrtype: RType, qid: int) -> tuple[bytes, DnsMessage]:
@@ -17,8 +22,8 @@ def ask(sock: socket.socket, address, name: str, rrtype: RType, qid: int) -> tup
     return wire, decode(wire)
 
 
-def client() -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+def client(family: socket.AddressFamily = socket.AF_INET) -> socket.socket:
+    sock = socket.socket(family, socket.SOCK_DGRAM)
     sock.settimeout(5.0)
     return sock
 
@@ -77,3 +82,47 @@ def test_a_failed_send_skips_that_datagram_only(monkeypatch):
     finally:
         server.stop()
     assert not server._thread.is_alive()
+
+
+def test_a_handler_exception_is_logged_and_the_next_query_answered(monkeypatch, caplog):
+    directory = Digrectory(fixtures.DOMAIN)
+    directory.register(fixtures.light_lab_entry())
+    cut = dnsserver.truncate
+    failures = []
+
+    def truncate_failing_once(wire, limit):
+        if not failures:
+            failures.append(wire)
+            raise RuntimeError("cut failed")
+        return cut(wire, limit)
+
+    monkeypatch.setattr(dnsserver, "truncate", truncate_failing_once)
+    with caplog.at_level(logging.ERROR, logger="digstack.dnsserver"):
+        with UdpDnsServer(directory.answer) as server, client() as sock:
+            query = DnsMessage(header=DnsHeader(id=9), questions=(Question(DomainName.from_text("x"), RType.SRV),))
+            sock.sendto(encode(query), server.address)  # its reply is lost to the failure
+            _, reply = ask(sock, server.address, fixtures.INSTANCE_NAME, RType.SRV, qid=10)
+            assert reply.header.id == 10 and reply.header.rcode == 0 and len(reply.answers) == 1
+    assert len(failures) == 1
+    assert [r.exc_info[1].args for r in caplog.records if r.exc_info] == [("cut failed",)]
+
+
+def test_a_server_never_started_stops_at_once():
+    server = DigcoveryHttpServer(Digcovery())
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=1.0)
+    assert not stopper.is_alive()
+
+
+def test_an_ipv6_host_listens_on_ipv6():
+    directory = Digrectory(fixtures.DOMAIN)
+    directory.register(fixtures.light_lab_entry())
+    with UdpDnsServer(directory.answer, host="::1") as dns, client(socket.AF_INET6) as sock:
+        assert dns.address[0] == "::1"
+        _, reply = ask(sock, dns.address, fixtures.INSTANCE_NAME, RType.SRV, qid=11)
+        assert reply.header.rcode == 0 and reply.answers[0].rdata.port == 1234
+    with DigcoveryHttpServer(Digcovery(), host="::1") as http:
+        assert http.url == f"http://[::1]:{http.address[1]}"
+        HttpDigcoveryClient(http.url).register_domain(DomainRecord(fixtures.DOMAIN, "::1", 5300))
+        assert [d["host"] for d in HttpDigcoveryClient(http.url).domains()] == ["::1"]

@@ -1,4 +1,4 @@
-"""Metadata serialization, compaction, link format, interface table."""
+"""Metadata serialization, compaction, link format."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from digstack import fixtures
 from digstack.semantics import (
-    CORE_INTERFACES,
     LinkEntry,
     LinkSyntaxError,
     MissingResourceType,
@@ -19,12 +18,12 @@ from digstack.semantics import (
     compact_txt,
     expand_txt,
     from_txt,
-    interface_allows,
     link_list_to_json,
     parse_link_format,
     render_link_format,
     to_txt,
 )
+import samples
 
 # --- strategies ---------------------------------------------------------------
 
@@ -55,7 +54,7 @@ def test_single_mode_matches_reference_transcript():
 
 
 def test_multi_mode_matches_reference_transcript():
-    assert from_txt([s.decode() for s in fixtures.MULTI_TXT]) == fixtures.lab_light_metadata()
+    assert from_txt([s.decode() for s in fixtures.MULTI_TXT]) == samples.lab_light_metadata()
 
 
 def test_single_mode_minimal():
@@ -104,7 +103,9 @@ def test_txt_roundtrip_single(meta):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("verbs", "onoff"), ("verbs", ["onoff", 5]), ("model", 5), ("if", 5), ("extra", {"area": 1})]
+    "field, value",
+    [("verbs", "onoff"), ("verbs", ["onoff", 5]), ("model", 5), ("if", 5), ("extra", {"area": 1}),
+     ("ins", True), ("ins", "2"), ("lt", 1.9), ("lt", "600")],
 )
 def test_metadata_from_dict_refuses_a_mistyped_field(field, value):
     with pytest.raises(TypeError, match=field):
@@ -156,7 +157,7 @@ def test_compact_roundtrip_and_shrinkage(meta):
 
 
 def test_device_listing_parses_to_nine_entries():
-    entries = parse_link_format(fixtures.DEVICE_LINK_PAYLOAD)
+    entries = parse_link_format(samples.DEVICE_LINK_PAYLOAD)
     assert len(entries) == 9
     assert entries[0].href == "/s"
     assert entries[0].attrs == {"rt": "simple.sen", "if": "core.b"}
@@ -182,7 +183,7 @@ def test_duplicate_attributes_collect_in_order():
 
 
 def test_render_parse_roundtrip_fixed():
-    entries = parse_link_format(fixtures.DEVICE_LINK_PAYLOAD)
+    entries = parse_link_format(samples.DEVICE_LINK_PAYLOAD)
     assert parse_link_format(render_link_format(entries)) == entries
 
 
@@ -215,11 +216,11 @@ def test_render_parse_roundtrip(entries):
 
 
 def test_sensor_index_maps_to_reference_json():
-    entries = parse_link_format(fixtures.SENSOR_LINK_PAYLOAD)
+    entries = parse_link_format(samples.SENSOR_LINK_PAYLOAD)
     produced = link_list_to_json(entries)
     # Equal as ordered JSON structures; whitespace is free.
     pairs = json.loads(produced, object_pairs_hook=list)
-    expected = json.loads(fixtures.SENSOR_LINK_JSON, object_pairs_hook=list)
+    expected = json.loads(samples.SENSOR_LINK_JSON, object_pairs_hook=list)
     assert pairs == expected
 
 
@@ -231,36 +232,3 @@ def test_unquoted_token_value_becomes_json_string():
 def test_duplicate_attributes_become_json_arrays():
     out = json.loads(link_list_to_json(parse_link_format('</r>;rel="a";rel="b"')))
     assert out == [{"href": "/r", "rel": ["a", "b"]}]
-
-
-# --- interface table -----------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "name,methods",
-    [
-        ("core.ll", {"GET"}),
-        ("core.b", {"GET", "PUT", "POST"}),
-        ("core.lb", {"GET", "PUT", "POST", "DELETE"}),
-        ("core.s", {"GET"}),
-        ("core.p", {"GET", "PUT"}),
-        ("core.rp", {"GET"}),
-        ("core.a", {"GET", "PUT", "POST"}),
-        ("core.bnd", {"GET", "POST", "DELETE"}),
-    ],
-)
-def test_interface_method_table(name, methods):
-    assert CORE_INTERFACES[name].allowed_methods == frozenset(methods)
-    for method in ("GET", "PUT", "POST", "DELETE"):
-        assert interface_allows(name, method) == (method in methods)
-
-
-def test_interface_table_is_exactly_eight_kinds():
-    assert len(CORE_INTERFACES) == 8
-
-
-def test_interface_allows_validates_input():
-    with pytest.raises(ValueError):
-        interface_allows("core.s", "PATCH")
-    with pytest.raises(ValueError):
-        interface_allows("core.unknown", "GET")
