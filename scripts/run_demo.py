@@ -13,11 +13,11 @@ import ipaddress
 
 from digstack import fixtures, netsim
 from digstack.digcovery import Digcovery, DomainRecord, GeoPoint
-from digstack.digrectory import DirectoryEntry, Digrectory, PointerPublisher
+from digstack.digrectory import DirectoryEntry, Digrectory, PointerPublisher, resolve_instance
 from digstack.dnscodec import DomainName, RType, SrvData
 from digstack.dnsserver import UdpDnsServer
 from digstack.lmdns import UdpTransport, ask
-from digstack.semantics import ServiceMetadata, from_txt
+from digstack.semantics import ServiceMetadata
 from digstack.webapi import DigcoveryHttpServer, HttpDigcoveryClient, dns_front_answer
 
 
@@ -97,12 +97,10 @@ def main() -> None:
         endpoint = next(d for d in client.discover("_lamp.*") if d["domain"] == hit["domain"])
         addr = (endpoint["host"], endpoint["dns_port"])
         name = f"{hit['instance']}.{hit['domain']}"
-        srv = ask(transport, addr, name, RType.SRV, 2.0).answers[0].rdata
-        txt = ask(transport, addr, name, RType.TXT, 2.0).answers[0].rdata
-        aaaa = ask(transport, addr, srv.target, RType.AAAA, 2.0).answers[0].rdata
-        meta = from_txt([chunk.decode() for chunk in txt])
+        records = resolve_instance(lambda owner, rrtype: ask(transport, addr, owner, rrtype, 2.0), name)
+        srv, meta = records.srv, records.meta
         print(f"resolve {name}")
-        print(f"  host {srv.target} port {srv.port} addr {ipaddress.IPv6Address(aaaa)}")
+        print(f"  host {srv.target} port {srv.port} addr {ipaddress.IPv6Address(records.addr6)}")
         print(f"  rt={meta.rt} model={meta.model} if={meta.if_} verbs={','.join(meta.verbs)}")
 
         # --- what the optimized replies cost on a 127-byte radio link ------

@@ -543,7 +543,7 @@ class Digcovery:
             with self._lock:
                 if self._snapshot.generation != self._generation:
                     table = self._pointers
-                    rows = [table[key] for key in sorted(table) if not table[key].removed]
+                    rows = [table[key] for key in sorted(key for key, row in table.items() if not row.removed)]
                     self._snapshot = _Snapshot(rows, self._generation)
                 snapshot = self._snapshot
         return snapshot

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import json
+import logging
 import os
 import threading
 import time
@@ -36,6 +37,8 @@ from .dnscodec import (
 )
 from .semantics import ServiceMetadata, from_txt, to_txt
 from .webapi import HttpDigcoveryClient
+
+log = logging.getLogger(__name__)
 
 
 class DirectoryError(Exception):
@@ -164,14 +167,52 @@ class DirectoryEntry:
         ).servable()
 
 
+@dataclass(frozen=True)
+class InstanceRecords:
+    """One resolved DNS-SD instance: its SRV, its metadata and the address
+    of its SRV target."""
+
+    instance: str
+    srv: SrvData
+    meta: ServiceMetadata
+    addr6: bytes
+
+
+class Unresolved(UnknownInstance):
+    """A resolution that did not complete; lists the records missing."""
+
+    def __init__(self, instance: str, missing: list[str]) -> None:
+        super().__init__(f"no {'/'.join(missing)} answer from {instance}")
+        self.instance = instance
+        self.missing = missing
+
+
+def resolve_instance(ask: Callable[[DomainName, RType], Optional[DnsMessage]], name: str) -> InstanceRecords:
+    """Resolve an instance (RFC 6763 sections 5-6): its SRV and TXT records,
+    then the AAAA of the SRV target, or of the name when no SRV came, so
+    that a failure costs the same three questions.  `ask(owner, rrtype)`
+    returns a reply, or None on silence.  Raises `Unresolved`."""
+    qname = DomainName.from_text(name)
+
+    def rdata(owner: DomainName, rrtype: RType):
+        reply = ask(owner, rrtype)
+        return next((rr.rdata for rr in reply.answers if rr.rrtype == rrtype), None) if reply is not None else None
+
+    srv, txt = rdata(qname, RType.SRV), rdata(qname, RType.TXT)
+    addr6 = rdata(srv.target if srv is not None else qname, RType.AAAA)
+    missing = [label for label, found in (("SRV", srv), ("TXT", txt), ("AAAA", addr6)) if found is None]
+    if missing:
+        raise Unresolved(name, missing)
+    return InstanceRecords(name, srv, from_txt([chunk.decode("utf-8") for chunk in txt]), addr6)
+
+
 def entry_from_instance_records(
-    records,
+    records: InstanceRecords,
     domain: str,
     ptr_paths: Iterable[str],
     geo: Optional[GeoPoint] = None,
 ) -> DirectoryEntry:
-    """Adopt what the mDNS handshake resolved (`lmdns.InstanceRecords`)
-    into a directory entry."""
+    """Adopt a resolved instance into a directory entry."""
     return DirectoryEntry(
         instance=records.instance.split(".")[0],
         domain=domain,
@@ -532,14 +573,6 @@ def _epc_instance(epc: str, attributes: dict) -> str:
     return "tag_" + tail.replace(".", "_")
 
 
-@dataclass
-class ResolvedTag:
-    instance_name: str
-    addr6: str
-    port: int
-    meta: ServiceMetadata
-
-
 class EpcisDriver:
     """Keeps a directory in step with an EPCIS repository and resolves
     tags through either the object API or the DNS path."""
@@ -550,24 +583,30 @@ class EpcisDriver:
         self.mapper = EpcMapper()
 
     def sync(self) -> int:
-        """Register every captured tag; returns how many changed the directory."""
+        """Register every captured tag; returns how many changed the
+        directory.  A tag the doors refuse is logged and skipped, and
+        changes nothing."""
         changed = 0
         for epc, attributes in sorted(self.epcis.tags.items()):
             instance, domain = _epc_instance(epc, attributes), self.directory.domain
-            meta = metadata_from_attributes(attributes)
-            entry = DirectoryEntry.from_dict({
-                "instance": instance,
-                "domain": domain,
-                "ptr_paths": [str(attributes.get("service_path", "_epc._sub._coap._udp"))],
-                "hostname": str(attributes.get("hostname", f"{instance}.{domain}")),
-                "port": int(attributes.get("port", 5683)),
-                "addr6": str(ipaddress.IPv6Address(self.mapper.register(epc))),
-                "ttl": meta.lt,
-                "origin": "epcis",
-                "meta": meta.to_dict(),
-            })
-            if self.directory.register(entry) != "refreshed":
-                changed += 1
+            try:
+                meta = metadata_from_attributes(attributes)
+                entry = DirectoryEntry.from_dict({
+                    "instance": instance,
+                    "domain": domain,
+                    "ptr_paths": [str(attributes.get("service_path", "_epc._sub._coap._udp"))],
+                    "hostname": str(attributes.get("hostname", f"{instance}.{domain}")),
+                    "port": int(attributes.get("port", 5683)),
+                    "addr6": str(ipaddress.IPv6Address(self.mapper.address_for(epc))),
+                    "ttl": meta.lt,
+                    "origin": "epcis",
+                    "meta": meta.to_dict(),
+                })
+                self.mapper.register(epc)  # a collision refuses the tag before the directory sees it
+            except (KeyError, TypeError, ValueError, DirectoryError) as err:
+                log.warning("epcis: tag %s refused: %s", epc, err)
+            else:
+                changed += self.directory.register(entry) != "refreshed"
         return changed
 
     def expire_tag(self, epc: str) -> None:
@@ -577,41 +616,18 @@ class EpcisDriver:
         self.epcis.decommission(epc)
         self.mapper.remove(epc)
 
-    # -- resolution, two ways --
-
-    def resolve(self, epc: str, via: str = "api") -> ResolvedTag:
+    def resolve(self, epc: str, via: str = "api") -> InstanceRecords:
+        """A tag's records, read from its directory entry ("api") or
+        resolved through the directory's DNS answers ("dns")."""
         if via not in ("api", "dns"):
             raise ValueError(f"unknown resolution path {via!r}")
         if epc not in self.epcis.tags:
             raise UnknownInstance(epc)
         instance = _epc_instance(epc, self.epcis.tags[epc])
-        return self._resolve_api(instance) if via == "api" else self._resolve_dns(epc, instance)
-
-    def _resolve_api(self, instance: str) -> ResolvedTag:
+        if via == "dns":
+            return resolve_instance(
+                lambda owner, rrtype: self.directory.answer(DnsMessage(questions=(Question(owner, rrtype),))),
+                f"{instance}.{self.directory.domain}",
+            )
         entry = self.directory.get(instance)
-        return ResolvedTag(
-            instance_name=entry.instance_name,
-            addr6=str(ipaddress.IPv6Address(entry.addr6)),
-            port=entry.srv.port,
-            meta=entry.meta,
-        )
-
-    def _resolve_dns(self, epc: str, instance: str) -> ResolvedTag:
-        name = DomainName.from_text(f"{instance}.{self.directory.domain}")
-
-        def ask(rrtype: RType, owner: DomainName) -> ResourceRecord:
-            query = DnsMessage(questions=(Question(owner, rrtype),))
-            reply = self.directory.answer(query)
-            if reply is None or reply.header.rcode != 0 or not reply.answers:
-                raise UnknownInstance(f"{epc}: no {rrtype.name} answer")
-            return reply.answers[0]
-
-        srv = ask(RType.SRV, name).rdata
-        txt = ask(RType.TXT, name).rdata
-        aaaa = ask(RType.AAAA, srv.target).rdata
-        return ResolvedTag(
-            instance_name=str(name),
-            addr6=str(ipaddress.IPv6Address(aaaa)),
-            port=srv.port,
-            meta=from_txt([chunk.decode("utf-8") for chunk in txt]),
-        )
+        return InstanceRecords(entry.instance_name, entry.srv, entry.meta, entry.addr6)

@@ -15,37 +15,23 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol
 
-from .digrectory import Digrectory, DirectoryEntry
+from .digrectory import Digrectory, DirectoryEntry, InstanceRecords, resolve_instance
 from .dnscodec import (
     CodecError,
     DnsHeader,
     DnsMessage,
     DomainName,
     Question,
-    ResourceRecord,
     RType,
     SrvData,
     decode,
     encode,
 )
 from .dnsserver import family_for
-from .semantics import ServiceMetadata, from_txt
+from .semantics import ServiceMetadata
 
 MDNS_GROUP = "224.0.0.251"
 MDNS_PORT = 5353
-
-
-class LmdnsError(Exception):
-    pass
-
-
-class HandshakeTimeout(LmdnsError):
-    """A registration handshake that never completed; lists what is missing."""
-
-    def __init__(self, instance: str, missing: list[str]) -> None:
-        super().__init__(f"no {'/'.join(missing)} answer from {instance}")
-        self.instance = instance
-        self.missing = missing
 
 
 class Transport(Protocol):
@@ -188,21 +174,6 @@ def ask(transport: Transport, dst, name: str | DomainName, rrtype: int, window: 
     return next((reply for reply, _src in _exchange(transport, dst, name, rrtype, window)), None)
 
 
-@dataclass(frozen=True)
-class InstanceRecords:
-    """What a completed registration handshake yields."""
-
-    instance: str
-    srv: SrvData
-    meta: ServiceMetadata
-    addr6: bytes
-
-
-def _record(transport: Transport, responder, name: DomainName, rrtype: int, window: float) -> ResourceRecord | None:
-    reply = ask(transport, responder, name, rrtype, window)
-    return next((rr for rr in reply.answers if rr.rrtype == rrtype), None) if reply is not None else None
-
-
 def registration_handshake(
     known: Iterable[str],
     discovered: ProbeResult,
@@ -213,21 +184,13 @@ def registration_handshake(
     """Resolve a probed instance, or skip it entirely when already known.
 
     A known instance costs zero messages.  A new one costs exactly one
-    SRV, one TXT and one AAAA exchange.
+    SRV, one TXT and one AAAA exchange, also when it does not answer
+    (`digrectory.Unresolved`).
     """
     instance = discovered.instance.lower()
     if instance in {k.lower() for k in known}:
         return None
-    name = DomainName.from_text(instance)
-    srv_rr = _record(transport, discovered.responder, name, RType.SRV, window)
-    txt_rr = _record(transport, discovered.responder, name, RType.TXT, window)
-    aaaa_owner = srv_rr.rdata.target if srv_rr is not None else name
-    aaaa_rr = _record(transport, discovered.responder, aaaa_owner, RType.AAAA, window)
-    missing = [label for label, rr in (("SRV", srv_rr), ("TXT", txt_rr), ("AAAA", aaaa_rr)) if rr is None]
-    if missing:
-        raise HandshakeTimeout(instance, missing)
-    meta = from_txt([chunk.decode("utf-8") for chunk in txt_rr.rdata])
-    return InstanceRecords(instance=instance, srv=srv_rr.rdata, meta=meta, addr6=aaaa_rr.rdata)
+    return resolve_instance(lambda owner, rrtype: ask(transport, discovered.responder, owner, rrtype, window), instance)
 
 
 class UdpTransport:

@@ -141,9 +141,9 @@ class _Handler(BaseHTTPRequestHandler):
         offset, limit = 0, DEFAULT_PAGE_LIMIT
         if isinstance(body, dict):
             body = dict(body)
-            offset = int(body.pop("offset", 0))
-            raw_limit = body.pop("limit", DEFAULT_PAGE_LIMIT)
-            limit = None if raw_limit is None else int(raw_limit)
+            offset, limit = body.pop("offset", 0), body.pop("limit", DEFAULT_PAGE_LIMIT)
+        if type(offset) is not int or not (limit is None or type(limit) is int):
+            raise TypeError(f"offset and limit must be JSON integers ({offset!r}, {limit!r})")
         if offset < 0 or (limit is not None and limit < 0):
             raise ValueError(f"negative offset or limit ({offset}, {limit})")
         query = parse_query(body)

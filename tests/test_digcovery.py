@@ -824,6 +824,16 @@ def test_negative_offset_or_limit_is_a_bad_request(served, page):
     assert err.value.status == 400 and err.value.error == "bad-request"
 
 
+@pytest.mark.parametrize("page", [{"offset": True}, {"limit": 1.9}, {"offset": "2"}, {"limit": "3"}])
+def test_a_page_bound_that_is_not_a_json_integer_is_a_bad_request(served, page):
+    _, client = served
+    client.register_domain(DomainRecord("rd.esiot.com", "127.0.0.1", 5300))
+    client.publish_pointers("rd.esiot.com", samples.campus_summaries())
+    with pytest.raises(ApiError) as err:
+        client.query({"bool": {}}, **page)
+    assert err.value.status == 400 and err.value.error == "bad-request"
+
+
 def test_deeply_nested_query_is_a_malformed_query(served):
     core, client = served
     depth = 900

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import logging
 import sys
 import threading
 
@@ -19,6 +20,7 @@ from digstack.digrectory import (
     EpcCollision,
     EpcMapper,
     EpcisDriver,
+    InstanceRecords,
     MockEpcis,
     ParseError,
     PointerPublisher,
@@ -35,7 +37,6 @@ from digstack.dnscodec import (
     RType,
     encode,
 )
-from digstack.lmdns import InstanceRecords
 from digstack.semantics import ServiceMetadata
 from digstack.webapi import DigcoveryHttpServer, EndpointUnreachable, HttpDigcoveryClient
 
@@ -647,10 +648,49 @@ def test_driver_sync_and_two_path_resolution():
         via_api = driver.resolve(epc, via="api")
         via_dns = driver.resolve(epc, via="dns")
         assert via_api == via_dns
-        assert via_api.addr6.startswith("fd00:6570:6373:")
+        assert via_api.addr6.startswith(EPC_PREFIX)
 
     with pytest.raises(ValueError):
         driver.resolve(list(epcis.tags)[0], via="carrier-pigeon")
+
+
+def test_sync_skips_a_capture_it_cannot_register(tmp_path, caplog):
+    journal = tmp_path / "directory.journal"
+    d = Digrectory(fixtures.DOMAIN, clock=FakeClock(), journal_path=str(journal))
+    epcis = MockEpcis()
+    bad, good = "urn:epc:id:sgtin:0614141.107346.0", "urn:epc:id:sgtin:0614141.107346.1"
+    epcis.capture(bad, dict(tag_attributes(0), hostname="h" * 64 + ".rd.esiot.com"))  # sorted first
+    epcis.capture(good, tag_attributes(1))
+    driver = EpcisDriver(epcis, d)
+    with caplog.at_level(logging.WARNING, logger="digstack.digrectory"):
+        assert driver.sync() == 1
+    assert bad in caplog.text
+    assert [e.instance for e in d.live_entries()] == ["tag_0614141_107346_1"]
+    assert len(journal.read_text().splitlines()) == 1
+    assert len(driver.mapper) == 1 and driver.mapper.epc_for(driver.mapper.address_for(good)) == good
+    # a synced tag whose capture turns bad keeps its entry and its address; the mended tag joins
+    epcis.capture(good, dict(tag_attributes(1), port="x"))
+    epcis.capture(bad, tag_attributes(0))
+    assert driver.sync() == 1
+    assert len(d.live_entries()) == 2 and len(driver.mapper) == 2
+    assert d.get("tag_0614141_107346_1").srv.port == 5683
+
+
+def test_sync_skips_a_tag_whose_address_collides():
+    class Collider(EpcMapper):
+        def address_for(self, epc: str) -> bytes:
+            return EPC_PREFIX + b"\x00" * 8
+
+    epcis = MockEpcis()
+    first, second = "urn:epc:id:sgtin:0614141.107346.0", "urn:epc:id:sgtin:0614141.107346.1"
+    epcis.capture(first, tag_attributes(0))
+    epcis.capture(second, tag_attributes(1))
+    d = Digrectory(fixtures.DOMAIN, clock=FakeClock())
+    driver = EpcisDriver(epcis, d)
+    driver.mapper = Collider()
+    assert driver.sync() == 1
+    assert [e.instance for e in d.live_entries()] == ["tag_0614141_107346_0"]
+    assert driver.mapper.epc_for(EPC_PREFIX + b"\x00" * 8) == first
 
 
 def test_expired_epcis_tag_leaves_a_journal_that_replays(tmp_path):

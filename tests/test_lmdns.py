@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from digstack import fixtures
+from digstack.digrectory import Unresolved
 from digstack.dnscodec import (
     DnsHeader,
     DnsMessage,
@@ -15,7 +16,6 @@ from digstack.dnscodec import (
     encode,
 )
 from digstack.lmdns import (
-    HandshakeTimeout,
     ProbeResult,
     SmartObjectAgent,
     UdpTransport,
@@ -179,9 +179,15 @@ def test_handshake_timeout_reports_missing_records():
     link = SimulatedLink()
     prober = link.attach("directory")
     ghost = ProbeResult("ghost.rd.esiot.com", "nowhere")
-    with pytest.raises(HandshakeTimeout) as err:
+    with pytest.raises(Unresolved) as err:
         registration_handshake(set(), ghost, prober, window=0.01)
     assert err.value.missing == ["SRV", "TXT", "AAAA"]
+    # a failure costs the same three questions as a success, and nothing else;
+    # with no SRV target, the address is asked on the instance name
+    questions = [decode(d.payload).questions[0] for d in link.log]
+    assert [(str(q.name), q.rrtype) for q in questions] == [
+        ("ghost.rd.esiot.com", rrtype) for rrtype in (RType.SRV, RType.TXT, RType.AAAA)
+    ]
 
 
 # --- UDP transport -------------------------------------------------------------------
