@@ -16,6 +16,7 @@ combinators are not.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -57,12 +58,16 @@ class GeoPoint:
     @classmethod
     def from_dict(cls, data) -> GeoPoint | None:
         """A wire `{"lat": ..., "lon": ...}`; None for a missing or empty
-        one.  Each coordinate must be a JSON number, and a bool is not."""
+        one.  Each coordinate must be a finite JSON number, and a bool is
+        not one (Python's `json` reads `1e400` as infinity and takes `NaN`,
+        which no reply could carry as JSON)."""
         if not data:
             return None
         lat, lon = data["lat"], data["lon"]
         if type(lat) not in _NUMBER or type(lon) not in _NUMBER:
             raise TypeError("geo lat and lon must be numbers")
+        if not all(type(v) is int or math.isfinite(v) for v in (lat, lon)):
+            raise ValueError(f"geo lat and lon must be finite ({lat}, {lon})")
         return cls(lat, lon)
 
     def to_dict(self) -> dict:
@@ -591,7 +596,13 @@ def _coerce_bound(field_name: str, value) -> str | float:
     if field_name in GEO_FIELDS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MalformedQuery(f"{field_name} bound must be numeric")
-        return float(value)
+        try:
+            bound = float(value)
+        except OverflowError:  # an integer past the float range
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise MalformedQuery(f"{field_name} bound must be finite")
+        return bound
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return str(value)
     if isinstance(value, str):

@@ -4,6 +4,7 @@ that the directory, the lookup frontend and smart objects run on it."""
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import socketserver
 import threading
@@ -32,31 +33,80 @@ def join_hostport(host: str, port: int) -> str:
 class ServerShell:
     """Start, stop and the context manager for a `socketserver` server.
 
-    The address family follows the host.  `start` serves on a daemon
-    thread; a request that raises is logged and the server goes on.
+    `start` runs `workers` threads.  Each takes a request off the socket
+    itself and serves it, so no thread is started per request or
+    connection; a request that raises is logged and its worker goes on.
+    `stop` wakes the workers and waits for them.  The address family
+    follows the host.
     """
 
     allow_reuse_address = True
-    _thread: threading.Thread | None = None
+    workers = 1
 
     def __init__(self, address: tuple[str, int], handler) -> None:
         self.address_family = family_for(address[0])
         super().__init__(address, handler)
+        self._threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+        self._stopping = False
+        self._open: set[socket.socket] = set()  # connections being served
 
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[:2]
 
     def start(self):
-        self._thread = threading.Thread(target=self.serve_forever, args=(POLL_INTERVAL,), daemon=True)
-        self._thread.start()
+        # a worker that loses the race for a request to another worker
+        # must not block in accept or recvfrom, where stop() cannot reach it
+        self.socket.setblocking(self.workers == 1)
+        self._threads = [threading.Thread(target=self._work, daemon=True) for _ in range(self.workers)]
+        for thread in self._threads:
+            thread.start()
         return self
 
     def stop(self) -> None:
-        if self._thread is not None:  # shutdown() waits for a serve_forever that must have begun
-            self.shutdown()
-            self._thread.join()
+        with self._lock:
+            self._stopping = True
+            # a worker may wait on a kept connection for the client's next
+            # request; the end of its input wakes it
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        for thread in self._threads:
+            thread.join()
         self.server_close()
+
+    def _work(self) -> None:
+        poller = select.poll()
+        poller.register(self.socket, select.POLLIN)
+        while not self._stopping:
+            if not poller.poll(POLL_INTERVAL * 1000):  # so an idle worker sees stop()
+                continue
+            try:
+                request, client_address = self.get_request()
+            except OSError:  # another worker took it, or the client left first
+                continue
+            self._serve(request, client_address)
+
+    def _serve(self, request, client_address) -> None:
+        conn = request if isinstance(request, socket.socket) else None  # a datagram has none
+        if conn is not None:
+            with self._lock:
+                if self._stopping:
+                    self.shutdown_request(conn)
+                    return
+                self._open.add(conn)
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            if conn is not None:
+                with self._lock:
+                    self._open.discard(conn)
+            self.shutdown_request(request)
 
     def handle_error(self, request, client_address) -> None:
         log.exception("request from %s failed", client_address)

@@ -14,10 +14,17 @@ returns everything unless told otherwise.
 from __future__ import annotations
 
 import json
+import logging
+import re
+import socket
+import socketserver
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import HTTPServer
 from typing import Optional
 
 from .digcovery import (
@@ -34,6 +41,21 @@ from .dnscodec import DnsMessage, DomainName, ResourceRecord, RType, response_fo
 from .dnsserver import ServerShell, join_hostport
 
 DEFAULT_PAGE_LIMIT = 100
+# A declared body over this gets 413.  The largest pointer batch that the
+# program's own publisher sends for the benchmark's campus corpus is 178 KB
+# (one directory's 1000 pointers), so 16 MiB takes a directory of about
+# 90,000 pointers in one batch.
+MAX_BODY = 16 * 2**20
+MAX_LINE = 65536  # bytes in the request line or one header line, as in `http.server`
+MAX_HEADERS = 100  # header lines, as in `http.server`
+IDLE_TIMEOUT = 5.0  # seconds a connection may wait for its next request; it holds a worker
+LINGER = 2.0  # seconds a refused request's connection is read and dropped before it closes
+
+_VERSION = re.compile(r"HTTP/([0-9])\.([0-9])")
+_TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # a header name
+_REASONS = {s.value: s.phrase for s in HTTPStatus}
+
+log = logging.getLogger(__name__)
 
 
 class EndpointUnreachable(Exception):
@@ -41,7 +63,8 @@ class EndpointUnreachable(Exception):
 
 
 class ApiError(Exception):
-    """Non-2xx reply from the HTTP API."""
+    """Non-2xx reply from the HTTP API: raised by the client that got it,
+    and by the front's request reader for a request it will not serve."""
 
     def __init__(self, status: int, error: str, detail: str = "") -> None:
         super().__init__(f"{status} {error}: {detail}" if detail else f"{status} {error}")
@@ -50,66 +73,149 @@ class ApiError(Exception):
         self.detail = detail
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "digcovery/0.1"
-    # headers and body leave in separate writes (the stdlib's error replies
-    # too); with Nagle on, a kept connection's body waits for the client's
-    # delayed ACK, about 40 ms
-    disable_nagle_algorithm = True
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: read a request (RFC 9112's message syntax, no more
+    than the routes need), answer it in one write, and go on while the
+    client keeps the connection."""
 
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
+    timeout = IDLE_TIMEOUT
+    # a reply larger than a segment ends in a short one; with Nagle on, it
+    # waits for the client's delayed ACK of the others, about 40 ms
+    disable_nagle_algorithm = True
 
     @property
     def core(self) -> Digcovery:
         return self.server.core  # type: ignore[attr-defined]
 
-    def _send(self, status: int, payload: dict | list) -> None:
-        self._send_body(status, json.dumps(payload).encode())
+    def handle(self) -> None:
+        keep = True
+        while keep:
+            try:
+                request = self._read_request()
+            except ApiError as err:  # where this request ends is unknown: close
+                self._write(*_error(err.status, err.error, err.detail), keep=False)
+                self._linger()
+                return
+            except TimeoutError:  # no byte came for IDLE_TIMEOUT seconds
+                return
+            if request is None:
+                return
+            method, target, body, keep = request
+            try:
+                reply = self._route(method, target, body)
+            except Exception as err:
+                log.exception("%s %s failed", method, target)
+                reply = _error(500, "internal-error", type(err).__name__)
+            self._write(*reply, keep=keep)
 
-    def _send_body(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _read_request(self) -> tuple[str, str, bytes, bool] | None:
+        """The next request's method, target, body and whether the client
+        keeps the connection after it; None when the client closed or cut
+        its request short.  Raises ApiError for a request not served."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise ApiError(414, "request-line-too-long", f"over {MAX_LINE} bytes")
+        if not line.endswith(b"\n"):
+            return None
+        words = line.decode("latin-1").split()
+        version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+        if version is None:
+            raise ApiError(400, "bad-request", f"bad request line {line.rstrip().decode('latin-1')!r}")
+        method, target = words[:2]
+        major, minor = version.groups()
+        if major != "1":
+            raise ApiError(505, "version-not-supported", words[2])
+        keep, length, expect = minor != "0", None, False
+        for _ in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                raise ApiError(431, "headers-too-large", f"a header line over {MAX_LINE} bytes")
+            if not line.endswith(b"\n"):
+                return None
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not _TOKEN.fullmatch(name):
+                raise ApiError(400, "bad-request", f"bad header line {line.rstrip().decode('latin-1')!r}")
+            name, value = name.lower(), value.strip()
+            if name == "content-length":
+                if length is not None or not (value.isascii() and value.isdigit()):
+                    raise ApiError(400, "bad-request", f"bad Content-Length {value}")
+                # a number longer than the cap's is over it; int() is not asked to read it
+                if len(value) > len(str(MAX_BODY)) or int(value) > MAX_BODY:
+                    raise ApiError(413, "body-too-large", f"Content-Length over {MAX_BODY}")
+                length = int(value)
+            elif name == "transfer-encoding":
+                raise ApiError(411, "length-required", "send the body with a Content-Length, not Transfer-Encoding")
+            elif name == "connection":
+                tokens = {t.strip().lower() for t in value.split(",")}
+                keep = "close" not in tokens and (keep or "keep-alive" in tokens)
+            elif name == "expect":
+                expect = value.lower() == "100-continue" and minor != "0"
+        else:
+            raise ApiError(431, "headers-too-large", f"more than {MAX_HEADERS} header lines")
+        if length and expect:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(length) if length else b""
+        if length and len(body) < length:
+            return None
+        return method, target, body, keep
 
-    def _fail(self, status: int, error: str, detail: str = "") -> None:
-        self._send(status, {"error": error, "detail": detail})
+    def _linger(self) -> None:
+        """Drop what the client still sends, until it closes or LINGER
+        seconds pass: a close with input unread resets the connection, and
+        a client still sending its body would lose the reply (RFC 9112
+        section 9.6)."""
+        self.connection.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + LINGER
+        try:
+            while (left := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(left)
+                if not self.connection.recv(65536):
+                    return
+        except OSError:  # the time ran out, or the client reset
+            pass
 
-    def _body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:
-            self.close_connection = True  # where this request ends is unknown
-            raise ValueError(f"bad Content-Length {length}")
-        raw = self.rfile.read(length)
-        return json.loads(raw) if raw else None
+    def _write(self, status: int, body: bytes, keep: bool) -> None:
+        """Status line, headers and body in one write."""
+        close = "" if keep else "Connection: close\r\n"
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\nServer: digcovery/0.1\r\n"
+            f"Date: {formatdate(usegmt=True)}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n{close}\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
 
-    def do_POST(self) -> None:
-        path = urllib.parse.urlparse(self.path).path
+    def _route(self, method: str, target: str, raw: bytes) -> tuple[int, bytes]:
+        if method == "GET":
+            return self._get(target)
+        if method == "POST":
+            return self._post(target, raw)
+        return _error(501, "no-such-method", method)
+
+    def _post(self, target: str, raw: bytes) -> tuple[int, bytes]:
+        path = urllib.parse.urlparse(target).path
         parts = [p for p in path.split("/") if p]
         try:
-            body = self._body()
+            body = json.loads(raw) if raw else None
             if parts == ["api", "v1", "domains"]:
-                self._register_domain(body)
-            elif len(parts) == 5 and parts[:3] == ["api", "v1", "domains"] and parts[4] == "pointers":
-                self._ingest(parts[3], body)
-            elif parts == ["api", "v1", "query"]:
-                self._query(body)
-            else:
-                self._fail(404, "no-such-route", path)
+                return self._register_domain(body)
+            if len(parts) == 5 and parts[:3] == ["api", "v1", "domains"] and parts[4] == "pointers":
+                return self._ingest(parts[3], body)
+            if parts == ["api", "v1", "query"]:
+                return self._query(body)
+            return _error(404, "no-such-route", path)
         except DuplicateDomain as err:
-            self._fail(409, "duplicate-domain", str(err))
+            return _error(409, "duplicate-domain", str(err))
         except UnknownDomain as err:
-            self._fail(404, "unknown-domain", str(err))
+            return _error(404, "unknown-domain", str(err))
         except (MalformedQuery, MalformedPattern, RecursionError) as err:
-            self._fail(400, "malformed-query", str(err))
+            return _error(400, "malformed-query", str(err))
         except (KeyError, TypeError, ValueError) as err:
-            self._fail(400, "bad-request", str(err))
+            return _error(400, "bad-request", str(err))
 
-    def do_GET(self) -> None:
-        parsed = urllib.parse.urlparse(self.path)
+    def _get(self, target: str) -> tuple[int, bytes]:
+        parsed = urllib.parse.urlparse(target)
         parts = [p for p in parsed.path.split("/") if p]
         if parts == ["api", "v1", "discover"]:
             params = urllib.parse.parse_qs(parsed.query)
@@ -117,27 +223,25 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 domains = self.core.discover(pattern)
             except MalformedPattern as err:
-                self._fail(400, "malformed-pattern", str(err))
-                return
-            self._send(200, {"domains": [d.to_dict() for d in domains]})
-        elif parts == ["api", "v1", "domains"]:
-            self._send(200, {"domains": [d.to_dict() for d in self.core.domains()]})
-        else:
-            self._fail(404, "no-such-route", parsed.path)
+                return _error(400, "malformed-pattern", str(err))
+            return _json(200, {"domains": [d.to_dict() for d in domains]})
+        if parts == ["api", "v1", "domains"]:
+            return _json(200, {"domains": [d.to_dict() for d in self.core.domains()]})
+        return _error(404, "no-such-route", parsed.path)
 
-    def _register_domain(self, body) -> None:
+    def _register_domain(self, body) -> tuple[int, bytes]:
         record = DomainRecord.from_dict(body)
         self.core.register_domain(record)
-        self._send(201, {"registered": record.domain})
+        return _json(201, {"registered": record.domain})
 
-    def _ingest(self, domain: str, body) -> None:
+    def _ingest(self, domain: str, body) -> tuple[int, bytes]:
         if not isinstance(body, list):
             raise MalformedQuery("pointer batch must be a JSON array")
         summaries = [PointerSummary.from_dict(item) for item in body]
         accepted = self.core.ingest(domain, summaries)
-        self._send(200, {"accepted": accepted})
+        return _json(200, {"accepted": accepted})
 
-    def _query(self, body) -> None:
+    def _query(self, body) -> tuple[int, bytes]:
         offset, limit = 0, DEFAULT_PAGE_LIMIT
         if isinstance(body, dict):
             body = dict(body)
@@ -152,7 +256,15 @@ class _Handler(BaseHTTPRequestHandler):
         # with each row's part rendered once per row, not once per reply
         rest = json.dumps({"offset": offset, "limit": limit, "cache": {"hits": stats.hits, "misses": stats.misses}})
         body = '{"results": [' + ", ".join(map(_result_json, rows)) + "], " + rest[1:]
-        self._send_body(200, body.encode())
+        return 200, body.encode()
+
+
+def _json(status: int, payload: dict | list) -> tuple[int, bytes]:
+    return status, json.dumps(payload).encode()
+
+
+def _error(status: int, error: str, detail: str = "") -> tuple[int, bytes]:
+    return _json(status, {"error": error, "detail": detail})
 
 
 def _result(row: PointerSummary) -> dict:
@@ -175,8 +287,11 @@ def _result_json(row: PointerSummary) -> str:
     return text
 
 
-class DigcoveryHttpServer(ServerShell, ThreadingHTTPServer):
-    """Threaded HTTP front for one Digcovery core."""
+class DigcoveryHttpServer(ServerShell, HTTPServer):
+    """HTTP front for one Digcovery core, served by a fixed set of workers."""
+
+    workers = 4
+    request_queue_size = 64  # connections wait here while every worker is busy
 
     def __init__(self, core: Digcovery, host: str = "127.0.0.1", port: int = 0) -> None:
         self.core = core

@@ -173,7 +173,7 @@ def test_register_bad_file_exits_one(tmp_path, capsys):
      ("meta", {"rt": "light", "verbs": "onoff"}), pytest.param("instance", "i" * 64, id="instance-label"),
      pytest.param("hostname", "h" * 64 + ".rd.esiot.com", id="hostname-label"),
      pytest.param("meta", {"rt": "light", "extra": {"note": "n" * 250}}, id="txt-string"),
-     ("port", "1234")],
+     ("port", "1234"), pytest.param("geo", {"lat": 38.0, "lon": float("nan")}, id="geo-nan")],
 )
 def test_register_entry_with_a_mistyped_field_exits_one(tmp_path, capsys, field, value):
     path = entry_file(tmp_path, [dict(fixtures.light_lab_entry().to_dict(), **{field: value})])

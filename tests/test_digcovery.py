@@ -489,6 +489,10 @@ def test_parse_query_shapes():
         {"fuzzy": {"rt": "light"}},
         "not json at all {",
         {"geo_range": {"latitude": {"from": "1", "to": True}, "longitude": {"from": 0, "to": 1}}},
+        {"geo_range": {"latitude": {"from": float("-inf"), "to": 1}, "longitude": {"from": 0, "to": 1}}},
+        {"range": {"longitude": {"from": 0, "to": float("nan")}}},
+        '{"range": {"latitude": {"from": -1e400, "to": 1e400}}}',
+        {"range": {"latitude": {"from": 0, "to": 10**400}}},
     ],
 )
 def test_parse_query_rejects(bad):
@@ -877,6 +881,7 @@ def test_pointer_batch_item_that_is_not_an_object_is_a_bad_request(served, capsy
     "field, value",
     [("instance", 5), ("service_path", 5), ("domain", 5), ("rt", 5),
      ("geo", {"lat": "38", "lon": -1.1}), ("geo", {"lat": True, "lon": -1.1}), ("geo", {"lat": 38.0, "lon": None}),
+     ("geo", {"lat": float("inf"), "lon": -1.1}), ("geo", {"lat": 38.0, "lon": float("nan")}),
      ("revision", "7"), ("revision", 1.0), ("removed", "false"), ("removed", 0)],
 )
 def test_pointer_with_a_mistyped_field_is_a_bad_request(served, field, value):

@@ -72,6 +72,7 @@ def test_a_failed_send_skips_that_datagram_only(monkeypatch):
             return DnsMessage(header=DnsHeader(id=query.header.id, qr=1), answers=(fixtures.srv_record(),) * 3000)
         return directory.answer(query)
 
+    before = set(threading.enumerate())
     server = UdpDnsServer(answer).start()
     try:
         with client() as sock:
@@ -81,7 +82,7 @@ def test_a_failed_send_skips_that_datagram_only(monkeypatch):
             assert reply.header.id == 8 and reply.header.rcode == 0
     finally:
         server.stop()
-    assert not server._thread.is_alive()
+    assert set(threading.enumerate()) <= before  # every worker thread has ended
 
 
 def test_a_handler_exception_is_logged_and_the_next_query_answered(monkeypatch, caplog):
