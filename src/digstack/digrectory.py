@@ -2,14 +2,13 @@
 
 A directory owns one domain.  Objects land here by direct registration,
 by the mDNS handshake, or from an EPCIS repository, and are answered
-over DNS with optimized replies (answer section only, compressed).  The
-directory keeps a revision counter so the pointer publisher can ship
-deltas to the global lookup service and prune acknowledged tombstones.
+over DNS with optimized replies (answer section only, compressed).  Its
+pointer rows, live or removed, stay in revision order for the publisher.
 
 With a journal, the journal is the source of truth: every change, from
 any source (a file, the handshake, EPCIS, expiry), is appended to it and
 takes effect only when the journal is read back, so every reader of the
-journal agrees on entries, revisions and tombstones.
+journal agrees on entries, revisions and pointer rows.
 """
 
 from __future__ import annotations
@@ -22,11 +21,14 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
+from . import webapi
 from .digcovery import GeoPoint, PointerSummary
 from .dnscodec import (
+    MAX_NAME_WIRE,
     DnsMessage,
     DomainName,
     Question,
@@ -36,9 +38,19 @@ from .dnscodec import (
     response_for,
 )
 from .semantics import ServiceMetadata, from_txt, to_txt
-from .webapi import HttpDigcoveryClient
 
 log = logging.getLogger(__name__)
+
+# The most bytes that one pointer row adds to a publish batch's JSON.  Its
+# names come from a servable entry, whose "instance.domain" and each
+# "path.domain" are at most 253 bytes of text, so instance, path and domain
+# hold at most 2 x 252 bytes together; rt sits in one 255-byte TXT string
+# after "rt=", so it holds at most 252.  JSON writes a byte in at most 6
+# characters (a control byte as \u00XX), a coordinate on the globe in at
+# most 24 (a float's repr) and a revision in at most 20 digits; the keys,
+# quotes and separators take 120.  A 16 MiB front thus takes 3,551 rows a
+# batch, where the campus corpus averages 178 B a row.
+MAX_ROW_BYTES = 120 + (2 * 252 + 252) * 6 + 2 * 24 + 20
 
 
 class DirectoryError(Exception):
@@ -99,14 +111,19 @@ class DirectoryEntry:
 
     def servable(self) -> DirectoryEntry:
         """This entry, once each name it answers for fits DNS (labels of at
-        most 63 bytes, names of at most 255) and its metadata renders to one
-        TXT string; else a ValueError.  The doors for outside records call
-        it, and so does a journaled `register`; `__post_init__` does not, so
-        an entry the program builds for an unjournaled directory skips it."""
-        DomainName.from_text(self.instance_name)
-        for path in self.ptr_paths:
-            DomainName.from_text(f"{path}.{self.domain}")
+        most 63 bytes, names of at most 255 on the wire and 253 as text, so
+        that no dot that `from_text` strips makes one longer), its metadata
+        renders to one TXT string and its geo point lies on the globe; else
+        a ValueError.  The doors for outside records call it, and so does a
+        journaled `register`; `__post_init__` does not, so an entry the
+        program builds for an unjournaled directory skips it."""
+        for name in (self.instance_name, *(f"{path}.{self.domain}" for path in self.ptr_paths)):
+            if len(name.encode("utf-8")) > MAX_NAME_WIRE - 2:
+                raise ValueError(f"name {name[:40]!r}... over {MAX_NAME_WIRE - 2} bytes")
+            DomainName.from_text(name)
         to_txt(self.meta)
+        if self.geo and not (abs(self.geo.lat) <= 90 and abs(self.geo.lon) <= 180):
+            raise ValueError(f"geo point off the globe ({self.geo.lat}, {self.geo.lon})")
         return self
 
     def content_key(self) -> tuple:
@@ -239,10 +256,10 @@ class Digrectory:
         self.domain = domain
         self.clock = clock
         self._entries: dict[str, DirectoryEntry] = {}
-        self._tombstones: list[PointerSummary] = []
+        self._rows: dict[tuple[str, str, str], PointerSummary] = {}  # by key, in revision order
         self._revision = 0
-        # Held while the entries dict changes and while a reader copies it,
-        # so a DNS thread never iterates a dict another thread is resizing.
+        # Held while the entries or rows change and while a reader copies
+        # them, so no thread iterates a dict another thread is resizing.
         self._lock = threading.Lock()
         self._journal_path = Path(journal_path) if journal_path else None
         self._journal_offset = 0  # bytes of the journal already applied
@@ -283,7 +300,7 @@ class Digrectory:
         return "refreshed" if stored.content_key() == entry.content_key() else "updated"
 
     def _apply_register(self, entry: DirectoryEntry) -> str:
-        """With `_apply_withdraw`, the only writer of entries, revision and tombstones."""
+        """With `_apply_withdraw`, the only writer of entries, revision and rows."""
         now = self.clock()
         with self._lock:
             outcome = self._outcome(entry)
@@ -294,10 +311,9 @@ class Digrectory:
             self._revision += 1
             entry.revision, entry.last_seen = self._revision, now
             self._entries[key] = entry
-            if stored is not None:  # tombstone what the update drops: a path, or the old spelling
-                carried = {p.key() for p in self._pointers(entry, self._revision)}
-                dropped = self._pointers(stored, self._revision, removed=True)
-                self._tombstones += [t for t in dropped if t.key() not in carried]
+            if stored is not None:  # an update removes the old rows; the new ones it keeps come back
+                self._pointers(stored, removed=True)
+            self._pointers(entry)
         return outcome
 
     def _apply_withdraw(self, instance: str) -> DirectoryEntry:
@@ -306,11 +322,11 @@ class Digrectory:
             if entry is None:
                 raise UnknownInstance(instance)
             self._revision += 1
-            self._tombstones += self._pointers(entry, self._revision, removed=True)
+            self._pointers(entry, removed=True)
         return entry
 
     def expire_stale(self) -> list[DirectoryEntry]:
-        """Drop entries not seen within their ttl; tombstones follow."""
+        """Drop entries not seen within their ttl; their rows are removed."""
         now = self.clock()
         stale = [e.instance for e in self._snapshot() if now - e.last_seen > e.ttl]
         return [self.withdraw(name) for name in stale]
@@ -383,22 +399,23 @@ class Digrectory:
 
     # -- pointers --
 
-    def _pointers(self, entry: DirectoryEntry, revision: int, removed: bool = False) -> list[PointerSummary]:
-        """The pointer of each of an entry's service paths."""
-        return [
-            PointerSummary(entry.instance, path, self.domain, entry.meta.rt, entry.geo, revision, removed)
-            for path in entry.ptr_paths
-        ]
+    def _pointers(self, entry: DirectoryEntry, removed: bool = False) -> None:
+        """Write the row of each of an entry's service paths at the current
+        revision, moved to the end of the table."""
+        for path in entry.ptr_paths:
+            row = PointerSummary(entry.instance, path, self.domain, entry.meta.rt, entry.geo, self._revision, removed)
+            self._rows.pop(key := row.key(), None)
+            self._rows[key] = row
 
-    def pointer_summaries(self) -> list[PointerSummary]:
-        """One live pointer per (instance, service path)."""
-        return [p for entry in self.live_entries() for p in self._pointers(entry, entry.revision)]
-
-    def pending_tombstones(self) -> list[PointerSummary]:
-        return list(self._tombstones)
+    def pointer_summaries(self, removed: bool = False) -> list[PointerSummary]:
+        """One live row per (instance, service path), or the removed rows not
+        yet pruned, in revision order."""
+        with self._lock:
+            return [row for row in self._rows.values() if row.removed == removed]
 
     def prune_tombstones(self, up_to_revision: int) -> None:
-        self._tombstones = [t for t in self._tombstones if t.revision > up_to_revision]
+        with self._lock:
+            self._rows = {k: row for k, row in self._rows.items() if not row.removed or row.revision > up_to_revision}
 
     # -- DNS answering --
 
@@ -469,25 +486,32 @@ class PointerPublisher:
     """Ships pointer deltas to the lookup service, tracking a revision
     watermark so only changes since the last acknowledged publish go out."""
 
-    def __init__(self, directory: Digrectory, client: HttpDigcoveryClient) -> None:
+    def __init__(self, directory: Digrectory, client: webapi.HttpDigcoveryClient) -> None:
         self.directory = directory
         self.client = client
         self.watermark = 0
 
     def pending(self) -> list[PointerSummary]:
-        fresh = [s for s in self.directory.pointer_summaries() if s.revision > self.watermark]
-        tombs = [t for t in self.directory.pending_tombstones() if t.revision > self.watermark]
-        return fresh + tombs
+        """The rows written since the watermark, oldest first: a walk back from the newest."""
+        with self.directory._lock:
+            return list(takewhile(lambda r: r.revision > self.watermark, reversed(self.directory._rows.values())))[::-1]
 
     def publish(self) -> int:
-        """One delta publish; returns how many pointers the service accepted."""
-        goal = self.directory.revision
-        batch = self.pending()
-        if not batch:
+        """Ship the rows written since the watermark, oldest first, in
+        batches under the front's body cap; returns how many pointers the
+        service accepted.  After each acknowledged batch the watermark is
+        one below the first row not yet sent, so a publish that fails goes
+        on from there the next time; resending part of a revision is
+        harmless, as the service ignores a row at the revision it holds."""
+        rows = self.pending()
+        if not rows:
             return 0
-        accepted = self.client.publish_pointers(self.directory.domain, batch)
-        self.watermark = goal
-        self.directory.prune_tombstones(goal)
+        size, accepted = max(1, webapi.MAX_BODY // MAX_ROW_BYTES), 0
+        for start in range(0, len(rows), size):
+            accepted += self.client.publish_pointers(self.directory.domain, rows[start:start + size])
+            end = start + size
+            self.watermark = rows[end].revision - 1 if end < len(rows) else rows[-1].revision
+        self.directory.prune_tombstones(self.watermark)
         return accepted
 
 

@@ -49,6 +49,11 @@ MAX_BODY = 16 * 2**20
 MAX_LINE = 65536  # bytes in the request line or one header line, as in `http.server`
 MAX_HEADERS = 100  # header lines, as in `http.server`
 IDLE_TIMEOUT = 5.0  # seconds a connection may wait for its next request; it holds a worker
+# Seconds from a request's first byte by which its request line, headers and
+# body must all have arrived, else 408: a client that sends a byte now and
+# then holds a worker no longer than this.  A 16 MiB body in that time is
+# 1.7 MB/s; the program's publisher sends well under 1 MB a batch.
+REQUEST_TIMEOUT = 10.0
 LINGER = 2.0  # seconds a refused request's connection is read and dropped before it closes
 
 _VERSION = re.compile(r"HTTP/([0-9])\.([0-9])")
@@ -73,6 +78,63 @@ class ApiError(Exception):
         self.detail = detail
 
 
+class _Reader:
+    """A connection's input, buffered, read under one deadline per request.
+
+    A socket timeout bounds each receive, not a request: `readline` over a
+    socket file receives again after every byte a client drips.  Here the
+    wait for a request's first byte is the socket's own timeout, the idle
+    one (TimeoutError), and every later receive of that request waits only
+    until its deadline; the handler restores the idle timeout to reply."""
+
+    def __init__(self, conn: socket.socket) -> None:
+        self.conn = conn
+        self.buf = bytearray()
+        self.pos = 0  # bytes of `buf` already read
+        self.deadline: float | None = None
+
+    def next_request(self) -> None:
+        """Start a request's deadline at its first byte, which may already be here."""
+        self.deadline = time.monotonic() + REQUEST_TIMEOUT if self.pos < len(self.buf) else None
+
+    def _fill(self) -> bool:
+        """Receive more; False when the client has closed."""
+        if self.deadline is None:
+            data = self.conn.recv(65536)
+            self.deadline = time.monotonic() + REQUEST_TIMEOUT
+        else:
+            try:
+                self.conn.settimeout(max(self.deadline - time.monotonic(), 1e-6))
+                data = self.conn.recv(65536)
+            except TimeoutError:
+                raise ApiError(408, "request-timeout", f"a request must arrive within {REQUEST_TIMEOUT} s") from None
+        del self.buf[:self.pos]
+        self.pos = 0
+        self.buf += data
+        return bool(data)
+
+    def readline(self, limit: int) -> bytes:
+        """A line with its newline, the first `limit` bytes of a longer one,
+        or what came before the client closed."""
+        scanned = 0  # bytes past `pos` searched already
+        while (end := self.buf.find(b"\n", self.pos + scanned, self.pos + limit) + 1) == 0:
+            scanned = len(self.buf) - self.pos
+            if scanned >= limit or not self._fill():
+                break
+        return self._take(end - self.pos if end else limit)
+
+    def read(self, size: int) -> bytes:
+        """`size` bytes, or fewer when the client closed first."""
+        while len(self.buf) - self.pos < size and self._fill():
+            pass
+        return self._take(size)
+
+    def _take(self, size: int) -> bytes:
+        data = bytes(self.buf[self.pos:self.pos + size])
+        self.pos += len(data)
+        return data
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: read a request (RFC 9112's message syntax, no more
     than the routes need), answer it in one write, and go on while the
@@ -82,19 +144,31 @@ class _Handler(socketserver.StreamRequestHandler):
     # a reply larger than a segment ends in a short one; with Nagle on, it
     # waits for the client's delayed ACK of the others, about 40 ms
     disable_nagle_algorithm = True
+    rbufsize = 0  # no buffer: requests are read through a _Reader, which keeps their deadline
 
     @property
     def core(self) -> Digcovery:
         return self.server.core  # type: ignore[attr-defined]
 
+    def setup(self) -> None:
+        super().setup()
+        self.reader = _Reader(self.connection)
+
     def handle(self) -> None:
+        try:
+            self._converse()
+        except (BrokenPipeError, ConnectionResetError) as err:
+            log.info("client %s left: %s", join_hostport(*self.client_address[:2]), err)
+
+    def _converse(self) -> None:
         keep = True
         while keep:
             try:
                 request = self._read_request()
             except ApiError as err:  # where this request ends is unknown: close
                 self._write(*_error(err.status, err.error, err.detail), keep=False)
-                self._linger()
+                if err.status != 408:  # a client past its deadline has had its time
+                    self._linger()
                 return
             except TimeoutError:  # no byte came for IDLE_TIMEOUT seconds
                 return
@@ -112,7 +186,8 @@ class _Handler(socketserver.StreamRequestHandler):
         """The next request's method, target, body and whether the client
         keeps the connection after it; None when the client closed or cut
         its request short.  Raises ApiError for a request not served."""
-        line = self.rfile.readline(MAX_LINE + 1)
+        self.reader.next_request()
+        line = self.reader.readline(MAX_LINE + 1)
         if len(line) > MAX_LINE:
             raise ApiError(414, "request-line-too-long", f"over {MAX_LINE} bytes")
         if not line.endswith(b"\n"):
@@ -127,7 +202,7 @@ class _Handler(socketserver.StreamRequestHandler):
             raise ApiError(505, "version-not-supported", words[2])
         keep, length, expect = minor != "0", None, False
         for _ in range(MAX_HEADERS + 1):
-            line = self.rfile.readline(MAX_LINE + 1)
+            line = self.reader.readline(MAX_LINE + 1)
             if len(line) > MAX_LINE:
                 raise ApiError(431, "headers-too-large", f"a header line over {MAX_LINE} bytes")
             if not line.endswith(b"\n"):
@@ -156,7 +231,7 @@ class _Handler(socketserver.StreamRequestHandler):
             raise ApiError(431, "headers-too-large", f"more than {MAX_HEADERS} header lines")
         if length and expect:
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = self.rfile.read(length) if length else b""
+        body = self.reader.read(length) if length else b""
         if length and len(body) < length:
             return None
         return method, target, body, keep
@@ -184,6 +259,8 @@ class _Handler(socketserver.StreamRequestHandler):
             f"Date: {formatdate(usegmt=True)}\r\nContent-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n{close}\r\n"
         )
+        if self.connection.gettimeout() != self.timeout:  # what was left of the request's deadline
+            self.connection.settimeout(self.timeout)
         self.wfile.write(head.encode("latin-1") + body)
 
     def _route(self, method: str, target: str, raw: bytes) -> tuple[int, bytes]:

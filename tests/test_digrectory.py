@@ -10,9 +10,10 @@ import threading
 
 import pytest
 
-from digstack import fixtures
+from digstack import fixtures, webapi
 from digstack.digcovery import Digcovery, DomainRecord, GeoPoint, Term, Wildcard
 from digstack.digrectory import (
+    MAX_ROW_BYTES,
     Digrectory,
     DirectoryEntry,
     EPC_PREFIX,
@@ -37,7 +38,7 @@ from digstack.dnscodec import (
     RType,
     encode,
 )
-from digstack.semantics import ServiceMetadata
+from digstack.semantics import ServiceMetadata, to_txt
 from digstack.webapi import DigcoveryHttpServer, EndpointUnreachable, HttpDigcoveryClient
 
 
@@ -103,7 +104,7 @@ def test_withdraw_and_tombstones():
     entry = d.withdraw("light_lab")
     assert entry.instance == "light_lab"
     assert d.live_entries() == []
-    tombs = d.pending_tombstones()
+    tombs = d.pointer_summaries(removed=True)
     assert len(tombs) == len(entry.ptr_paths)
     assert all(t.removed and t.revision == d.revision for t in tombs)
     with pytest.raises(UnknownInstance):
@@ -118,7 +119,7 @@ def test_expire_stale_uses_entry_ttl():
     clock.now += 2
     gone = d.expire_stale()
     assert [e.instance for e in gone] == ["light_lab"]
-    assert d.pending_tombstones() != []
+    assert d.pointer_summaries(removed=True) != []
 
 
 # --- DNS answering ------------------------------------------------------------------
@@ -209,7 +210,7 @@ def light(instance: str) -> DirectoryEntry:
 
 def journal_state(d: Digrectory) -> tuple:
     entries = [(e.instance, e.revision, e.content_key()) for e in d.live_entries()]
-    tombs = [(t.instance, t.service_path, t.revision) for t in d.pending_tombstones()]
+    tombs = [(t.instance, t.service_path, t.revision) for t in d.pointer_summaries(removed=True)]
     return entries, tombs, d.revision
 
 
@@ -278,7 +279,7 @@ def test_two_followers_expiring_one_entry_keep_the_journal_readable(tmp_path):
     fresh = Digrectory(fixtures.DOMAIN, journal_path=str(path))
     assert journal_state(first) == journal_state(second) == journal_state(fresh)
     assert [e.instance for e in fresh.live_entries()] == ["light_lab"]
-    assert fresh.revision == 3 and len(fresh.pending_tombstones()) == 1
+    assert fresh.revision == 3 and len(fresh.pointer_summaries(removed=True)) == 1
 
     # asking to withdraw what is not held is still refused, journal or not
     with pytest.raises(UnknownInstance):
@@ -405,6 +406,12 @@ MISTYPED_ENTRY_FIELDS = [
     pytest.param("hostname", ".".join(["h" * 60] * 5), id="hostname-name"),
     pytest.param("ptr_paths", ["_" + "p" * 63 + "._coap._udp"], id="path-label"),
     pytest.param("meta", {"rt": "light", "extra": {"note": "n" * 250}}, id="txt-string"),
+    # a name whose text is over 253 bytes, although the dots that `from_text` strips leave it shorter
+    pytest.param("instance", "." * 300 + "light", id="instance-text"),
+    pytest.param("ptr_paths", ["." * 300 + "_coap._udp"], id="path-text"),
+    # a coordinate off the globe
+    pytest.param("geo", {"lat": 91, "lon": -1.1}, id="geo-lat"),
+    pytest.param("geo", {"lat": 38.0, "lon": 10**400}, id="geo-lon"),
 ]
 
 
@@ -490,7 +497,7 @@ def test_publisher_full_then_delta(lookup_service):
     assert publisher.publish() == 1
     assert len(core.execute(Wildcard("*.*"))) == 5
     assert core.execute(Term("instance", "light_two")) == []
-    assert d.pending_tombstones() == []  # pruned after the ack
+    assert d.pointer_summaries(removed=True) == []  # pruned after the ack
 
 
 def test_update_tombstones_the_pointers_it_drops(lookup_service):
@@ -516,6 +523,73 @@ def test_update_tombstones_the_pointers_it_drops(lookup_service):
     d.withdraw("light_lab")
     publisher.publish()
     assert core.execute(Wildcard("*.*")) == []
+
+
+class _FailingAt:
+    """A client whose nth publish fails as if the service were down."""
+
+    def __init__(self, client: HttpDigcoveryClient, n: int) -> None:
+        self.client, self.n, self.calls = client, n, 0
+
+    def publish_pointers(self, domain, batch):
+        self.calls += 1
+        if self.calls == self.n:
+            raise EndpointUnreachable("down")
+        return self.client.publish_pointers(domain, batch)
+
+
+def test_a_publish_splits_under_the_fronts_body_cap(lookup_service, monkeypatch):
+    core, client = lookup_service
+    monkeypatch.setattr(webapi, "MAX_BODY", 20_000)  # 200 rows of about 170 B each are over it
+    d = Digrectory(fixtures.DOMAIN, clock=FakeClock())
+    for i in range(40):
+        entry = fixtures.light_lab_entry()
+        entry.instance = f"light_{i:02}"
+        d.register(entry)
+    publisher = PointerPublisher(d, _FailingAt(client, 3))
+    with pytest.raises(EndpointUnreachable):
+        publisher.publish()
+    # two batches landed; the watermark stops below the first row not sent
+    landed = {(r.instance, r.service_path) for r in core.execute(Wildcard("*.*"))}
+    first_unsent = next(r for r in d.pointer_summaries() if (r.instance, r.service_path) not in landed)
+    assert 0 < len(landed) < 200 and publisher.watermark == first_unsent.revision - 1
+
+    publisher.client = client
+    assert publisher.publish() == 200 - len(landed)  # the rows sent again are already held
+    assert publisher.watermark == d.revision and publisher.publish() == 0
+    assert sorted(core.execute(Wildcard("*.*")), key=lambda r: r.key()) == sorted(
+        d.pointer_summaries(), key=lambda r: r.key()
+    )
+
+
+def test_no_servable_entry_makes_a_row_over_the_bound():
+    # every name at its DNS limit in bytes that JSON writes six characters each
+    name = ".".join(["\x01" * 63] * 3 + ["\x01" * 59])  # "name.d" is 255 bytes on the wire
+    fill = 255 - len(to_txt(ServiceMetadata(rt="r")))
+    entry = DirectoryEntry.from_dict(dict(
+        fixtures.light_lab_entry().to_dict(), instance=name, domain="d", ptr_paths=[name.replace("\x01", "\x02")],
+        geo={"lat": -2.2250738585072014e-308, "lon": -1.2345678901234567e-100},
+        meta={"rt": "r" + "\x01" * fill},
+    ))
+    d = Digrectory("d")
+    d._revision = 10**20 - 2
+    d.register(entry)
+    (row,) = d.pointer_summaries()
+    assert len(json.dumps([row.to_dict(), dict(row.to_dict(), removed=True)])) <= 2 * MAX_ROW_BYTES
+
+
+def test_an_idle_publish_builds_no_row(lookup_service, monkeypatch):
+    _, client = lookup_service
+    d = make_directory()
+    publisher = PointerPublisher(d, client)
+    assert publisher.publish() == 5
+
+    def no(*args, **kwargs):
+        raise AssertionError("an idle tick built rows")
+
+    monkeypatch.setattr(Digrectory, "_pointers", no)
+    monkeypatch.setattr(Digrectory, "live_entries", no)
+    assert publisher.publish() == 0
 
 
 def test_publisher_keeps_state_when_unreachable(lookup_service):

@@ -1,9 +1,12 @@
 """One model of the federation: two journaled directories, their publishers
 and one lookup core, driven in process through random interleavings.
 
-After any history, once every domain is published, the core holds exactly
-the directories' live pointers, `discover` agrees with a scan of them, and
-every live instance resolves over its directory's DNS answers.
+After any history, each publisher's pending rows are the latest row of
+each key written past its watermark.  Once every domain is published, in
+batches of two rows and after publishes that were cut short, the core
+holds exactly the directories' live pointers, `discover` agrees with a
+scan of them, and every live instance resolves over its directory's DNS
+answers.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
+from digstack import webapi
 from digstack.digcovery import Bool, Digcovery, DomainRecord, PointerSummary, match_service_path
 from digstack.digrectory import (
+    MAX_ROW_BYTES,
     Digrectory,
     DirectoryEntry,
     PointerPublisher,
@@ -26,6 +31,7 @@ from digstack.digrectory import (
 )
 from digstack.dnscodec import DnsMessage, DomainName, Question, SrvData
 from digstack.semantics import ServiceMetadata
+from digstack.webapi import EndpointUnreachable
 
 DOMAINS = ("rd.a.example", "rd.b.example")
 NAMES = ("o0", "O0", "o1", "O1", "o2")  # two spellings of one instance make an update drop the old one
@@ -42,12 +48,18 @@ class _Clock:
 
 
 class _Wire:
-    """The publishers' client: each batch crosses its JSON form into the core."""
+    """The publishers' client: each batch crosses its JSON form into the core,
+    until `cut` more batches have gone; then it fails as a lost connection."""
 
     def __init__(self, core: Digcovery) -> None:
         self.core = core
+        self.cut: int | None = None
 
     def publish_pointers(self, domain: str, batch: list[PointerSummary]) -> int:
+        if self.cut is not None:
+            if self.cut == 0:
+                raise EndpointUnreachable("cut")
+            self.cut -= 1
         rows = json.loads(json.dumps([p.to_dict() for p in batch]))
         return self.core.ingest(domain, [PointerSummary.from_dict(row) for row in rows])
 
@@ -68,6 +80,7 @@ class Federation(RuleBasedStateMachine):
         self.journals = [workdir / f"site{i}.journal" for i in range(len(DOMAINS))]
         self.directories: list[Digrectory] = []
         self.publishers: list[PointerPublisher] = []
+        self.removed: list[list[PointerSummary]] = [[] for _ in DOMAINS]  # each site's removals, oldest first
         for domain, journal in zip(DOMAINS, self.journals):
             self.core.register_domain(DomainRecord(domain, "127.0.0.1", 5300))
             self.directories.append(Digrectory(domain, clock=self.clock, journal_path=str(journal)))
@@ -81,8 +94,12 @@ class Federation(RuleBasedStateMachine):
         port=st.integers(1, 3),
     )
     def register(self, site, name, paths, ttl, port) -> None:
-        domain = DOMAINS[site]
-        self.directories[site].register(
+        domain, directory = DOMAINS[site], self.directories[site]
+        try:
+            stored = directory.get(name)
+        except UnknownInstance:
+            stored = None
+        outcome = directory.register(
             DirectoryEntry(
                 instance=name,
                 domain=domain,
@@ -93,23 +110,45 @@ class Federation(RuleBasedStateMachine):
                 ttl=ttl,
             )
         )
+        if outcome == "updated":
+            self._removed(site, stored, directory.revision)
 
     @rule(site=SITES, name=st.sampled_from(NAMES))
     def withdraw(self, site, name) -> None:
         try:
-            self.directories[site].withdraw(name)
+            entry = self.directories[site].withdraw(name)
         except UnknownInstance:
-            pass
+            return
+        self._removed(site, entry, self.directories[site].revision)
 
     @rule(seconds=st.sampled_from((30, 61, 3601)))
     def tick(self, seconds) -> None:
         self.clock.now += seconds
-        for directory in self.directories:
-            directory.expire_stale()
+        for site, directory in enumerate(self.directories):
+            gone = directory.expire_stale()
+            for revision, entry in enumerate(gone, start=directory.revision - len(gone) + 1):
+                self._removed(site, entry, revision)
+
+    def _removed(self, site: int, entry: DirectoryEntry, revision: int) -> None:
+        self.removed[site] += [
+            PointerSummary(entry.instance, path, DOMAINS[site], entry.meta.rt, entry.geo, revision, True)
+            for path in entry.ptr_paths
+        ]
 
     @rule(site=SITES)
     def publish(self, site) -> None:
         self.publishers[site].publish()
+
+    @rule(site=SITES, batches=st.integers(0, 2))
+    def publish_cut(self, site, batches) -> None:
+        """A publish whose connection fails after some batches."""
+        self.wire.cut = batches
+        try:
+            self.publishers[site].publish()
+        except EndpointUnreachable:
+            pass
+        finally:
+            self.wire.cut = None
 
     @rule(site=SITES)
     def take_over(self, site) -> None:
@@ -122,7 +161,18 @@ class Federation(RuleBasedStateMachine):
 
     @rule()
     def check(self) -> None:
-        for publisher in self.publishers:
+        for site, publisher in enumerate(self.publishers):
+            # a reference scan: the latest row of each key, from the entries
+            # and the removals, past the watermark
+            latest = {row.key(): row for row in self.removed[site]}
+            for entry in publisher.directory.live_entries():
+                for path in entry.ptr_paths:
+                    row = PointerSummary(entry.instance, path, DOMAINS[site], entry.meta.rt, entry.geo, entry.revision)
+                    latest[row.key()] = row  # a live row is never older than a removed one of its key
+            expected = [row for row in latest.values() if row.revision > publisher.watermark]
+            pending = publisher.pending()
+            assert sorted(pending, key=PointerSummary.key) == sorted(expected, key=PointerSummary.key)
+            assert [row.revision for row in pending] == sorted(row.revision for row in pending)
             publisher.publish()
         live = sorted((p for d in self.directories for p in d.pointer_summaries()), key=PointerSummary.key)
         assert sorted(self.core.execute(Bool()), key=PointerSummary.key) == live
@@ -135,7 +185,9 @@ class Federation(RuleBasedStateMachine):
                 assert (records.srv, records.meta, records.addr6) == (entry.srv, entry.meta, entry.addr6)
 
 
-def test_the_federation_keeps_the_directories_live_state(tmp_path):
+def test_the_federation_keeps_the_directories_live_state(tmp_path, monkeypatch):
+    monkeypatch.setattr(webapi, "MAX_BODY", 2 * MAX_ROW_BYTES)  # so a publish is split into batches of two rows
+
     class Run(Federation):
         root = tmp_path
 

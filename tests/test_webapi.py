@@ -8,6 +8,7 @@ import hashlib
 import json
 import logging
 import socket
+import struct
 import threading
 import time
 
@@ -413,6 +414,67 @@ def test_idle_connections_are_dropped_and_free_their_workers(monkeypatch):
         finally:
             for sock in idle:
                 sock.close()
+
+
+def _received(sock: socket.socket) -> bytes:
+    """What a connection received before the server closed or reset it."""
+    data = b""
+    try:
+        while chunk := sock.recv(65536):
+            data += chunk
+    except OSError:
+        pass
+    return data
+
+
+def test_a_request_must_arrive_within_one_deadline(monkeypatch):
+    monkeypatch.setattr(webapi._Handler, "timeout", 0.5)
+    monkeypatch.setattr(webapi, "REQUEST_TIMEOUT", 1.0)
+    # each client sends a little every 0.3 s, well within the idle timeout:
+    # two send a header line at a time, two drip one line a byte at a time
+    drips = [b"X-Drip: 1\r\n"] * 15, [b"X-Drip: 1\r\n"] * 15, [bytes([b]) for b in b"X-Drip: " + b"1" * 13]
+    drips += drips[2:]
+    with DigcoveryHttpServer(campus_core()) as server:
+        socks = [socket.create_connection(server.address, timeout=5) for _ in drips]
+
+        def drip(sock, chunks):
+            try:
+                sock.sendall(b"GET /api/v1/domains HTTP/1.1\r\n")
+                for chunk in chunks:
+                    time.sleep(0.3)
+                    sock.sendall(chunk)
+            except OSError:  # the server closed the connection
+                pass
+
+        threads = [threading.Thread(target=drip, args=pair) for pair in zip(socks, drips)]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.1)  # each worker has taken one dripping client
+            started = time.monotonic()
+            status, _ = read_reply(exchange(server.address, get("/api/v1/domains"))[0])
+            waited = time.monotonic() - started
+            assert status == 200 and waited < 1.0 + 1.0
+            for sock in socks:
+                status, body = read_reply(_received(sock))
+                assert status == 408 and json.loads(body)["error"] == "request-timeout"
+        finally:
+            for thread in threads:
+                thread.join()
+            for sock in socks:
+                sock.close()
+
+
+def test_a_client_gone_before_its_reply_is_one_log_line(caplog):
+    with caplog.at_level(logging.INFO, logger="digstack"), DigcoveryHttpServer(campus_core()) as server:
+        for _ in range(10):
+            sock = socket.create_connection(server.address, timeout=5)
+            sock.sendall(post("/api/v1/query", {"bool": {}}))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # a reset, not a close
+        assert len(HttpDigcoveryClient(server.url).query({"bool": {}})["results"]) == 5
+    assert [r for r in caplog.records if r.exc_info] == []
+    assert any("left" in r.getMessage() for r in caplog.records)
 
 
 def test_stop_returns_soon_while_a_client_keeps_its_connection():
