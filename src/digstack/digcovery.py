@@ -9,8 +9,12 @@ directory.
 
 Filter caching follows the engine convention: term, prefix and range
 filters are cached by default; geo filters, numeric ranges over loaded
-field data (the coordinate fields), scripts, and the and/or/not
+field data (the coordinate fields), scripts, wildcards and the and/or/not
 combinators are not.
+
+A result is an integer bitmask over one snapshot's rows: bit i stands for
+row i, and the rows are in result order, so combinators are `&`, `|` and
+`& ~`, and a page is the lowest set bits, found without a sort.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from itertools import compress, islice
+from typing import Callable, Sequence, Union
 
 TERM_FIELDS = ("instance", "service_path", "domain", "rt")
 GEO_FIELDS = ("latitude", "longitude")
@@ -243,38 +248,44 @@ class GeoRange(Query):
 class Wildcard(Query):
     kind = "wildcard"
     pattern: str
+    # the pattern, parsed once: whether a service path matches it
+    matches: Callable[[str], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_pattern(self.pattern)
+        object.__setattr__(self, "matches", path_matcher(self.pattern))
 
 
-def _check_pattern(pattern: str) -> list[str]:
-    if not pattern:
-        raise MalformedPattern("empty pattern")
-    labels = pattern.split(".")
-    if any(not label for label in labels):
-        raise MalformedPattern(f"empty label in pattern {pattern!r}")
-    return labels
-
-
-def match_service_path(pattern: str, path: str) -> bool:
-    """Label-wise pattern match over a dotted service path.
+def path_matcher(pattern: str) -> Callable[[str], bool]:
+    """Parse a service-path pattern once; the returned function tells
+    whether a dotted service path matches it, label by label.
 
     ``*`` matches exactly one label; a trailing lone ``*`` matches one
     or more labels, so ``*.*`` covers every realistic service path.
     """
-    p_labels = _check_pattern(pattern)
-    s_labels = path.split(".")
-    if p_labels[-1] == "*":
-        head = p_labels[:-1]
-        if len(s_labels) < len(head) + 1:
+    if not pattern:
+        raise MalformedPattern("empty pattern")
+    labels = pattern.lower().split(".")
+    if any(not label for label in labels):
+        raise MalformedPattern(f"empty label in pattern {pattern!r}")
+    open_ended = labels[-1] == "*"
+    if open_ended:
+        labels.pop()
+
+    def matches(path: str) -> bool:
+        s_labels = path.split(".")
+        if open_ended:
+            if len(s_labels) <= len(labels):
+                return False
+        elif len(s_labels) != len(labels):
             return False
-        pairs = zip(head, s_labels)
-    else:
-        if len(p_labels) != len(s_labels):
-            return False
-        pairs = zip(p_labels, s_labels)
-    return all(p == "*" or p.lower() == s.lower() for p, s in pairs)
+        return all(p == "*" or p == s.lower() for p, s in zip(labels, s_labels))
+
+    return matches
+
+
+def match_service_path(pattern: str, path: str) -> bool:
+    """Whether a dotted service path matches a pattern (see `path_matcher`)."""
+    return path_matcher(pattern)(path)
 
 
 # --- cache ---------------------------------------------------------------------------
@@ -304,7 +315,7 @@ def cacheability(node: Query | str) -> bool:
 
 
 class FilterCache:
-    """LRU map from filter nodes to posting sets.
+    """LRU map from filter nodes to result masks.
 
     Ids are positions in one snapshot's order and mean nothing in another,
     so each `_Snapshot` owns its cache: an entry can only be stored by, and
@@ -315,19 +326,19 @@ class FilterCache:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: OrderedDict[Query, frozenset[int]] = OrderedDict()
+        self._entries: OrderedDict[Query, int] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, node: Query) -> frozenset[int] | None:
+    def get(self, node: Query) -> int | None:
         with self._lock:
-            if node not in self._entries:
-                return None
-            self._entries.move_to_end(node)
-            return self._entries[node]
+            mask = self._entries.get(node)
+            if mask is not None:
+                self._entries.move_to_end(node)
+            return mask
 
-    def put(self, node: Query, ids: frozenset[int]) -> None:
+    def put(self, node: Query, mask: int) -> None:
         with self._lock:
-            self._entries[node] = ids
+            self._entries[node] = mask
             self._entries.move_to_end(node)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -357,14 +368,41 @@ class ExecutionStats:
 # --- index snapshot --------------------------------------------------------------------
 
 
+_MANY_IDS = 512  # from this many ids on, a mask is quicker parsed from binary digits
+_BIT = tuple(1 << bit for bit in range(8))
+_AXIS_STEP = 128  # ids between two prefix masks of a geo axis
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits as `compress` selectors
+_NONZERO = bytes(1) + b"\1" * 255  # a byte with any bit set → 1
+_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))  # set bits per byte
+
+
+def _mask(ids: Sequence[int]) -> int:
+    """The bitmask with bit i set for each id i in `ids`, in any order."""
+    if not ids:
+        return 0
+    top = max(ids)
+    if len(ids) < _MANY_IDS:
+        data = bytearray(top // 8 + 1)
+        for sid in ids:
+            data[sid >> 3] |= _BIT[sid & 7]
+        return int.from_bytes(data, "little")
+    digits = bytearray(b"0") * (top + 1)  # most significant bit first
+    for sid in ids:
+        digits[top - sid] = 49  # "1"
+    return int(digits, 2)
+
+
 class _Snapshot:
     """Immutable inverted index over one generation of summaries.
 
     Ids are positions in (domain, instance, service path) order, the order
-    results are promised in, so sorting a result's ids orders its rows.
-    Everything valid for this generation only belongs to the snapshot,
-    its filter cache and path → domain table included, and goes when the
-    snapshot is replaced.
+    results are promised in, and a result is a mask with bit i set for
+    row i, so a result's set bits, lowest first, are its rows in order.
+    Each field value keeps the ascending list of its ids; a leaf node
+    makes its mask from those lists when it is evaluated.  Everything
+    valid for this generation only belongs to the snapshot, its filter
+    cache, path and geo-axis masks and path → domain table included, and
+    goes when the snapshot is replaced.
     """
 
     def __init__(self, summaries: list[PointerSummary], generation: int) -> None:
@@ -372,11 +410,13 @@ class _Snapshot:
         self.summaries = summaries
         self.cache = FilterCache()
         self._path_domains: dict[str, frozenset[str]] | None = None
-        self.universe = frozenset(range(len(summaries)))
-        self.postings: dict[str, dict[str, set[int]]] = {f: {} for f in TERM_FIELDS}
+        self._path_masks: dict[str, int] | None = None
+        self._axis_prefixes: dict[str, list[int]] = {}
+        self.universe = (1 << len(summaries)) - 1
+        self.postings: dict[str, dict[str, list[int]]] = {f: {} for f in TERM_FIELDS}
         for sid, s in enumerate(summaries):
             for f in TERM_FIELDS:
-                self.postings[f].setdefault(getattr(s, f), set()).add(sid)
+                self.postings[f].setdefault(getattr(s, f), []).append(sid)
         self.sorted_values = {f: sorted(vals) for f, vals in self.postings.items()}
         # sort positions by a coordinate list: float compares, not (value, id)
         # tuples; the stable sort keeps equal values in id order
@@ -399,78 +439,143 @@ class _Snapshot:
             }
         return table
 
-    def page(self, ids: frozenset[int], offset: int, limit: int | None) -> list[PointerSummary]:
-        """One page of a result: its rows, in result order."""
-        window = sorted(ids)[offset : offset + limit if limit is not None else None]
-        return [self.summaries[sid] for sid in window]
+    def path_masks(self) -> dict[str, int]:
+        """Each service path → the mask of its rows, which a wildcard
+        unions; built on first use."""
+        masks = self._path_masks
+        if masks is None:
+            masks = self._path_masks = {path: _mask(ids) for path, ids in self.postings["service_path"].items()}
+        return masks
+
+    def axis_prefixes(self, axis: str) -> list[int]:
+        """Range-encoded masks of a geo axis: item j holds the first
+        j * _AXIS_STEP ids in coordinate order; built on first use."""
+        prefixes = self._axis_prefixes.get(axis)
+        if prefixes is None:
+            ids, prefixes = self.geo_axis[axis][1], [0]
+            for start in range(0, len(ids) - _AXIS_STEP + 1, _AXIS_STEP):
+                prefixes.append(prefixes[-1] | _mask(ids[start : start + _AXIS_STEP]))
+            self._axis_prefixes[axis] = prefixes
+        return prefixes
+
+    def select(self, node: Query, stats: ExecutionStats | None, offset: int, limit: int | None) -> list[PointerSummary]:
+        """One page of a node's rows; with `stats`, through the filter cache.
+
+        A term's rows are its posting list, already in result order, so its
+        page is a slice of that list.  With `stats` the term is still looked
+        up in, and stored to, the cache: the reply counts the lookup, and a
+        later compound reuses the entry.
+        """
+        if node.kind != "term":
+            return self.page(self.evaluate(node, stats), offset, limit)
+        if stats is not None:
+            self.evaluate(node, stats)
+        ids = self._posting(node)
+        return [self.summaries[sid] for sid in ids[offset : None if limit is None else offset + limit]]
+
+    def page(self, mask: int, offset: int, limit: int | None) -> list[PointerSummary]:
+        """One page of a result: its rows, in result order, without a sort.
+
+        A page that reaches past one row in 32 of the span between the
+        result's lowest and highest bit takes the rows whose bit is set in
+        one C pass.  Any other page walks the set bits up from the lowest,
+        skipping zero bytes in C, until it has `offset + limit` of them.
+        """
+        rows = self.summaries
+        count = mask.bit_count()
+        stop = count if limit is None else min(count, offset + limit)
+        if stop <= offset:
+            return []
+        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        find = data.translate(_NONZERO).find
+        at = find(1)  # the byte of the lowest set bit
+        if stop << 2 > len(data) - at:
+            flags = bin(mask >> (at << 3))[:1:-1].encode().translate(_FLAGS)
+            return list(islice(compress(rows[at << 3 : mask.bit_length()], flags), offset, stop))
+        ids: list[int] = []
+        append = ids.append
+        while len(ids) < stop:
+            base = at << 3
+            for bit in _BITS[data[at]]:
+                append(base + bit)
+            at = find(1, at + 1)
+        return [rows[sid] for sid in ids[offset:stop]]
 
     # -- node evaluation over the index, one method per node kind --
 
-    def _term(self, node: Term, stats: ExecutionStats | None) -> frozenset[int]:
-        if node.field in self.postings:
-            return frozenset(self.postings[node.field].get(node.value, ()))
-        return frozenset()
+    def _posting(self, node: Term) -> Sequence[int]:
+        """A term's ids, ascending."""
+        return self.postings.get(node.field, {}).get(node.value, ())
 
-    def _prefix(self, node: Prefix, stats: ExecutionStats | None) -> frozenset[int]:
+    def _term(self, node: Term, stats: ExecutionStats | None) -> int:
+        return _mask(self._posting(node))
+
+    def _prefix(self, node: Prefix, stats: ExecutionStats | None) -> int:
         if node.field not in self.postings:
-            return frozenset()
-        keys = self.sorted_values[node.field]
-        lo = bisect_left(keys, node.value)
-        result: set[int] = set()
-        for i in range(lo, len(keys)):
+            return 0
+        postings, keys = self.postings[node.field], self.sorted_values[node.field]
+        ids: list[int] = []
+        for i in range(bisect_left(keys, node.value), len(keys)):
             if not keys[i].startswith(node.value):
                 break
-            result |= self.postings[node.field][keys[i]]
-        return frozenset(result)
+            ids += postings[keys[i]]
+        return _mask(ids)
 
-    def _range(self, node: Range, stats: ExecutionStats | None) -> frozenset[int]:
+    def _axis_mask(self, node: Range) -> int:
+        """The rows whose coordinate on a geo axis lies in the range: the
+        difference of two prefix masks, plus the ids between their steps
+        and the range's ends."""
+        values, ids = self.geo_axis[node.field]
+        lo = bisect_left(values, node.from_) if node.include_from else bisect_right(values, node.from_)
+        hi = bisect_right(values, node.to_) if node.include_to else bisect_left(values, node.to_)
+        first, last = -(-lo // _AXIS_STEP), hi // _AXIS_STEP
+        if first >= last:
+            return _mask(ids[lo:hi])
+        prefixes = self.axis_prefixes(node.field)
+        edges = ids[lo : first * _AXIS_STEP] + ids[last * _AXIS_STEP : hi]
+        return prefixes[last] ^ prefixes[first] | _mask(edges)
+
+    def _range(self, node: Range, stats: ExecutionStats | None) -> int:
         if node.field in GEO_FIELDS:
-            values, ids = self.geo_axis[node.field]
-            lo = bisect_left(values, node.from_) if node.include_from else bisect_right(values, node.from_)
-            hi = bisect_right(values, node.to_) if node.include_to else bisect_left(values, node.to_)
-            return frozenset(ids[lo:hi])
+            return self._axis_mask(node)
         if node.field not in self.postings:
-            return frozenset()
-        keys = self.sorted_values[node.field]
+            return 0
+        postings, keys = self.postings[node.field], self.sorted_values[node.field]
         lo = bisect_left(keys, node.from_) if node.include_from else bisect_right(keys, node.from_)
         hi = bisect_right(keys, node.to_) if node.include_to else bisect_left(keys, node.to_)
-        result: set[int] = set()
-        for key in keys[lo:hi]:
-            result |= self.postings[node.field][key]
-        return frozenset(result)
+        return _mask([sid for key in keys[lo:hi] for sid in postings[key]])
 
-    def _geo_range(self, node: GeoRange, stats: ExecutionStats | None) -> frozenset[int]:
-        lat = self._range(Range("latitude", node.lat_from, node.lat_to), stats)
-        lon = self._range(Range("longitude", node.lon_from, node.lon_to), stats)
-        return lat & lon
+    def _geo_range(self, node: GeoRange, stats: ExecutionStats | None) -> int:
+        lat = self._axis_mask(Range("latitude", node.lat_from, node.lat_to))
+        return lat & self._axis_mask(Range("longitude", node.lon_from, node.lon_to))
 
-    def _wildcard(self, node: Wildcard, stats: ExecutionStats | None) -> frozenset[int]:
-        result: set[int] = set()
-        for path, ids in self.postings["service_path"].items():
-            if match_service_path(node.pattern, path):
-                result |= ids
-        return frozenset(result)
+    def _wildcard(self, node: Wildcard, stats: ExecutionStats | None) -> int:
+        result = 0
+        for path, mask in self.path_masks().items():
+            if node.matches(path):
+                result |= mask
+        return result
 
-    def _bool(self, node: Bool, stats: ExecutionStats | None) -> frozenset[int]:
+    def _bool(self, node: Bool, stats: ExecutionStats | None) -> int:
         if node.must:
             result = self.universe
             for sub in node.must:
-                result = result & self.evaluate(sub, stats)
+                result &= self.evaluate(sub, stats)
         elif node.should:
-            result = frozenset()
+            result = 0
             for sub in node.should:
-                result = result | self.evaluate(sub, stats)
+                result |= self.evaluate(sub, stats)
         else:
             result = self.universe
         for sub in node.must_not:
-            result = result - self.evaluate(sub, stats)
+            result &= ~self.evaluate(sub, stats)
         return result
 
-    def _filtered(self, node: Filtered, stats: ExecutionStats | None) -> frozenset[int]:
+    def _filtered(self, node: Filtered, stats: ExecutionStats | None) -> int:
         return self.evaluate(node.query, stats) & self.evaluate(node.filter, stats)
 
-    def evaluate(self, node: Query, stats: ExecutionStats | None = None) -> frozenset[int]:
-        """A node's ids; with `stats`, through this snapshot's filter cache."""
+    def evaluate(self, node: Query, stats: ExecutionStats | None = None) -> int:
+        """A node's result mask; with `stats`, through this snapshot's filter cache."""
         if stats is None or not cacheability(node):
             return getattr(self, "_" + node.kind)(node, stats)
         result = self.cache.get(node)
@@ -559,7 +664,7 @@ class Digcovery:
         """Run a query tree; the matching rows in (domain, instance, service
         path) order."""
         snapshot = self._read()
-        return snapshot.page(snapshot.evaluate(query), offset, limit)
+        return snapshot.select(query, None, offset, limit)
 
     def execute_cached(
         self, query: Query, *, offset: int = 0, limit: int | None = None
@@ -567,16 +672,16 @@ class Digcovery:
         """Same contract as `execute`, with the snapshot's filter cache engaged."""
         snapshot = self._read()
         stats = ExecutionStats()
-        return snapshot.page(snapshot.evaluate(query, stats), offset, limit), stats
+        return snapshot.select(query, stats, offset, limit), stats
 
     def discover(self, pattern: str) -> list[DomainRecord]:
         """Domains with at least one live pointer matching the path pattern,
         in domain order.  Costs the snapshot's distinct paths, not its
         pointers."""
-        _check_pattern(pattern)
+        matches = path_matcher(pattern)
         found: set[str] = set()
         for path, domains in self._read().path_domains().items():
-            if match_service_path(pattern, path):
+            if matches(path):
                 found |= domains
         return [self._domains[d] for d in sorted(found) if d in self._domains]
 

@@ -20,6 +20,7 @@ import logging
 import os
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import takewhile
 from pathlib import Path
@@ -257,6 +258,8 @@ class Digrectory:
         self.clock = clock
         self._entries: dict[str, DirectoryEntry] = {}
         self._rows: dict[tuple[str, str, str], PointerSummary] = {}  # by key, in revision order
+        # the keys of the removed rows, in revision order, so pruning costs the rows it drops
+        self._removed: OrderedDict[tuple[str, str, str], None] = OrderedDict()
         self._revision = 0
         # Held while the entries or rows change and while a reader copies
         # them, so no thread iterates a dict another thread is resizing.
@@ -406,16 +409,26 @@ class Digrectory:
             row = PointerSummary(entry.instance, path, self.domain, entry.meta.rt, entry.geo, self._revision, removed)
             self._rows.pop(key := row.key(), None)
             self._rows[key] = row
+            self._removed.pop(key, None)
+            if removed:
+                self._removed[key] = None
 
     def pointer_summaries(self, removed: bool = False) -> list[PointerSummary]:
         """One live row per (instance, service path), or the removed rows not
         yet pruned, in revision order."""
         with self._lock:
-            return [row for row in self._rows.values() if row.removed == removed]
+            if removed:
+                return [self._rows[key] for key in self._removed]
+            return [row for row in self._rows.values() if not row.removed]
 
     def prune_tombstones(self, up_to_revision: int) -> None:
+        """Drop the removed rows at or below a revision, oldest first."""
         with self._lock:
-            self._rows = {k: row for k, row in self._rows.items() if not row.removed or row.revision > up_to_revision}
+            while self._removed:
+                key = next(iter(self._removed))
+                if self._rows[key].revision > up_to_revision:
+                    break
+                del self._removed[key], self._rows[key]
 
     # -- DNS answering --
 

@@ -170,6 +170,24 @@ def test_c04_thousand_queries_match_linear_oracle(big_engine):
     assert time.monotonic() - started < 30.0
 
 
+def test_c04_pages_match_the_linear_oracle_slice(big_engine):
+    started = time.monotonic()
+    rows, core = big_engine
+    rng = random.Random(0x9A6E)
+    queries = [Wildcard("*.*"), Term("rt", "light"), Term("rt", "nothing-here")]
+    queries += [random_query(rng, rows) for _ in range(40)]
+    for node in queries:
+        expected = oracle_hits(rows, node)
+        ends = (len(expected), len(expected) + 5)  # at and past the end
+        for offset in (0, 7, 8, 9, 99, 100) + ends:
+            for limit in (0, 7, 8, 9, 99, 100, None) + ends[1:]:
+                window = expected[offset : None if limit is None else offset + limit]
+                assert keys(core.execute(node, offset=offset, limit=limit)) == window
+                cached, _ = core.execute_cached(node, offset=offset, limit=limit)
+                assert keys(cached) == window
+    assert time.monotonic() - started < 30.0
+
+
 def test_c05_cache_policy_and_transparency(big_engine):
     started = time.monotonic()
     # the policy table, exhaustively

@@ -222,15 +222,28 @@ def test_node_kind_is_the_dsl_kind(kind, body):
 
 def test_filter_cache_lru_and_invalidation():
     cache = FilterCache(capacity=2)
-    cache.put(Term("rt", "a"), frozenset({1}))
-    cache.put(Term("instance", "b"), frozenset({2}))
-    assert cache.get(Term("rt", "a")) == frozenset({1})
-    cache.put(Prefix("rt", "c"), frozenset({3}))  # evicts the LRU entry
+    cache.put(Term("rt", "a"), 0b10)
+    cache.put(Term("instance", "b"), 0b100)
+    assert cache.get(Term("rt", "a")) == 0b10
+    cache.put(Prefix("rt", "c"), 0b1000)  # evicts the LRU entry
     assert cache.get(Term("instance", "b")) is None
-    assert cache.get(Term("rt", "a")) == frozenset({1})
+    assert cache.get(Term("rt", "a")) == 0b10
     # an equal node is the same key; a node of another kind is not
     assert cache.get(Prefix("rt", "a")) is None
+    # an empty result is a stored entry, not a miss
+    cache.put(Term("rt", "none"), 0)
+    assert cache.get(Term("rt", "none")) == 0
     assert len(cache) == 2
+
+
+def test_a_broad_cached_result_is_a_mask_of_a_few_kilobytes():
+    rows = [PointerSummary(f"o{i:05}", "_lamp._sub._coap._udp", DOMAINS[i % 3], ("light", "fan")[i % 2])
+            for i in range(20_000)]
+    core = make_core(rows)
+    lights, _ = core.execute_cached(Term("rt", "light"), limit=None)
+    assert len(lights) == 10_000
+    cached = core._read().cache.get(Term("rt", "light"))
+    assert type(cached) is int and sys.getsizeof(cached) < 4096  # a set of 10k ids is over 500 KiB
 
 
 def test_execute_cached_transparent(campus):

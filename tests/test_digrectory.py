@@ -9,6 +9,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digstack import fixtures, webapi
 from digstack.digcovery import Digcovery, DomainRecord, GeoPoint, Term, Wildcard
@@ -602,6 +604,53 @@ def test_publisher_keeps_state_when_unreachable(lookup_service):
     publisher.client = client
     assert publisher.publish() == 5
     assert len(core.execute(Term("rt", "light"))) == 5
+
+
+class _Accepting:
+    """A publisher's client that takes every batch whole."""
+
+    def publish_pointers(self, domain, batch):
+        return len(batch)
+
+
+_PRUNE_PATHS = (fixtures.SERVICE_PATH,) + fixtures.SERVICE_ALIASES[:2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("register", "register", "withdraw", "publish", "prune")),
+            st.sampled_from(("o0", "o1", "o2", "o3")),
+            st.lists(st.sampled_from(_PRUNE_PATHS), min_size=1, max_size=3, unique=True),
+            st.integers(0, 40),
+        ),
+        max_size=40,
+    )
+)
+def test_pruning_leaves_the_rows_a_scan_of_the_whole_table_would(steps):
+    d = Digrectory(fixtures.DOMAIN, clock=FakeClock())
+    publisher = PointerPublisher(d, _Accepting())
+    for op, name, paths, revision in steps:
+        if op == "register":
+            entry = fixtures.light_lab_entry()
+            entry.instance, entry.ptr_paths = name, tuple(paths)
+            d.register(entry)
+        elif op == "withdraw":
+            try:
+                d.withdraw(name)
+            except UnknownInstance:
+                pass
+        else:
+            before = dict(d._rows)
+            if op == "publish":
+                publisher.publish()
+                revision = publisher.watermark
+            else:
+                d.prune_tombstones(revision)
+            expected = {k: row for k, row in before.items() if not row.removed or row.revision > revision}
+            assert list(d._rows.items()) == list(expected.items())
+            assert d.pointer_summaries(removed=True) == [row for row in expected.values() if row.removed]
 
 
 # --- mDNS adoption -------------------------------------------------------------------

@@ -4,9 +4,9 @@ and one lookup core, driven in process through random interleavings.
 After any history, each publisher's pending rows are the latest row of
 each key written past its watermark.  Once every domain is published, in
 batches of two rows and after publishes that were cut short, the core
-holds exactly the directories' live pointers, `discover` agrees with a
-scan of them, and every live instance resolves over its directory's DNS
-answers.
+holds exactly the directories' live pointers, a page of a query and
+`discover` agree with a scan of them, and every live instance resolves
+over its directory's DNS answers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
 from digstack import webapi
-from digstack.digcovery import Bool, Digcovery, DomainRecord, PointerSummary, match_service_path
+from digstack.digcovery import Bool, Digcovery, DomainRecord, PointerSummary, Term, Wildcard, match_service_path
 from digstack.digrectory import (
     MAX_ROW_BYTES,
     Digrectory,
@@ -38,6 +38,11 @@ NAMES = ("o0", "O0", "o1", "O1", "o2")  # two spellings of one instance make an 
 PATHS = ("_lamp._sub._coap._udp", "_gas._sub._coap._udp", "_coap._udp")
 PATTERNS = ("*.*", "_lamp.*", "_gas._sub._coap._udp")
 SITES = st.integers(0, len(DOMAINS) - 1)
+PAGED = (  # a query, and which live rows it selects
+    (Bool(), lambda row: True),
+    (Wildcard("_lamp.*"), lambda row: match_service_path("_lamp.*", row.service_path)),
+    (Bool(must_not=(Term("rt", "rt1"),)), lambda row: row.rt != "rt1"),
+)
 
 
 class _Clock:
@@ -159,8 +164,12 @@ class Federation(RuleBasedStateMachine):
         publisher.watermark = self.publishers[site].watermark
         self.directories[site], self.publishers[site] = directory, publisher
 
-    @rule()
-    def check(self) -> None:
+    @rule(
+        paged=st.sampled_from(PAGED),
+        offset=st.integers(0, 9),
+        limit=st.none() | st.integers(0, 9),
+    )
+    def check(self, paged, offset, limit) -> None:
         for site, publisher in enumerate(self.publishers):
             # a reference scan: the latest row of each key, from the entries
             # and the removals, past the watermark
@@ -176,6 +185,9 @@ class Federation(RuleBasedStateMachine):
             publisher.publish()
         live = sorted((p for d in self.directories for p in d.pointer_summaries()), key=PointerSummary.key)
         assert sorted(self.core.execute(Bool()), key=PointerSummary.key) == live
+        query, selects = paged
+        page, _ = self.core.execute_cached(query, offset=offset, limit=limit)
+        assert page == [row for row in live if selects(row)][offset : None if limit is None else offset + limit]
         for pattern in PATTERNS:
             expected = sorted({p.domain for p in live if match_service_path(pattern, p.service_path)})
             assert [d.domain for d in self.core.discover(pattern)] == expected
