@@ -4,17 +4,18 @@ that the directory, the lookup frontend and smart objects run on it."""
 from __future__ import annotations
 
 import logging
-import select
+import math
+import selectors
 import socket
-import socketserver
 import threading
+import time
 from typing import Callable, Optional
 
 from .dnscodec import CodecError, DnsMessage, decode, encode, response_for, truncate
 
 UDP_PAYLOAD_LIMIT = 512
 SERVFAIL = 2
-POLL_INTERVAL = 0.2  # seconds between checks for stop()
+MAX_DATAGRAM = 65535
 
 log = logging.getLogger(__name__)
 
@@ -31,85 +32,97 @@ def join_hostport(host: str, port: int) -> str:
 
 
 class ServerShell:
-    """Start, stop and the context manager for a `socketserver` server.
+    """One bound socket served by one thread that waits on a selector.
 
-    `start` runs `workers` threads.  Each takes a request off the socket
-    itself and serves it, so no thread is started per request or
-    connection; a request that raises is logged and its worker goes on.
-    `stop` wakes the workers and waits for them.  The address family
-    follows the host.
+    Every socket the server serves is registered on `_selector` with its
+    handler, a callable that takes the ready events; the bound socket's
+    handler is `_ready`.  A handler that raises goes to `_failed`, which
+    logs it, and the loop goes on.  A subclass with deadlines books each
+    through `_due` or `_book`, and the loop calls `_sweep` when the
+    earliest is due; a server without any waits for its sockets alone.
+    `stop` wakes the loop through a socket pair, waits for it to end and
+    closes every socket.  The address family follows the host.
     """
 
-    allow_reuse_address = True
-    workers = 1
+    kind = socket.SOCK_DGRAM
+    backlog = 0  # connections the kernel queues before they are accepted, for a stream socket
 
-    def __init__(self, address: tuple[str, int], handler) -> None:
-        self.address_family = family_for(address[0])
-        super().__init__(address, handler)
-        self._threads: list[threading.Thread] = []
-        self._lock = threading.Lock()
+    def __init__(self, address: tuple[str, int]) -> None:
+        self.socket = socket.socket(family_for(address[0]), self.kind)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind(address)
+            if self.kind == socket.SOCK_STREAM:
+                self.socket.listen(self.backlog)
+        except BaseException:
+            self.socket.close()
+            raise
+        self.address: tuple[str, int] = self.socket.getsockname()[:2]
+        self._selector = selectors.DefaultSelector()
+        self._wake, self._waker = socket.socketpair()
+        self._selector.register(self._wake, selectors.EVENT_READ, None)
+        self._selector.register(self.socket, selectors.EVENT_READ, self._ready)
+        self._thread: threading.Thread | None = None
         self._stopping = False
-        self._open: set[socket.socket] = set()  # connections being served
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[:2]
+        self._closed = False
+        self._sweep_at = math.inf  # the earliest deadline booked since the last sweep
 
     def start(self):
-        # a worker that loses the race for a request to another worker
-        # must not block in accept or recvfrom, where stop() cannot reach it
-        self.socket.setblocking(self.workers == 1)
-        self._threads = [threading.Thread(target=self._work, daemon=True) for _ in range(self.workers)]
-        for thread in self._threads:
-            thread.start()
+        name = f"{type(self).__name__} {join_hostport(*self.address)}"
+        self._thread = threading.Thread(target=self._loop, name=name, daemon=True)
+        self._thread.start()
         return self
 
     def stop(self) -> None:
-        with self._lock:
-            self._stopping = True
-            # a worker may wait on a kept connection for the client's next
-            # request; the end of its input wakes it
-            for conn in self._open:
-                try:
-                    conn.shutdown(socket.SHUT_RD)
-                except OSError:
-                    pass
-        for thread in self._threads:
+        self._stopping = True
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._waker.send(b"\0")
             thread.join()
-        self.server_close()
+        if self._closed:
+            return
+        self._closed = True
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+        self.socket.close()  # also when a subclass took it off the selector
+        self._waker.close()
 
-    def _work(self) -> None:
-        poller = select.poll()
-        poller.register(self.socket, select.POLLIN)
+    def _loop(self) -> None:
+        select, monotonic = self._selector.select, time.monotonic
         while not self._stopping:
-            if not poller.poll(POLL_INTERVAL * 1000):  # so an idle worker sees stop()
-                continue
-            try:
-                request, client_address = self.get_request()
-            except OSError:  # another worker took it, or the client left first
-                continue
-            self._serve(request, client_address)
+            timeout = None if self._sweep_at == math.inf else max(self._sweep_at - monotonic(), 0.0)
+            for key, events in select(timeout):
+                if key.data is not None:  # None: the wake-up
+                    self._call(key.data, key.fileobj, events)
+            if self._sweep_at <= monotonic():
+                self._sweep_at = math.inf  # the sweep books what is left
+                self._sweep(monotonic())
 
-    def _serve(self, request, client_address) -> None:
-        conn = request if isinstance(request, socket.socket) else None  # a datagram has none
-        if conn is not None:
-            with self._lock:
-                if self._stopping:
-                    self.shutdown_request(conn)
-                    return
-                self._open.add(conn)
+    def _call(self, handler: Callable, fileobj, *args) -> None:
         try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
-        finally:
-            if conn is not None:
-                with self._lock:
-                    self._open.discard(conn)
-            self.shutdown_request(request)
+            handler(*args)
+        except Exception as err:
+            self._failed(fileobj, err)
 
-    def handle_error(self, request, client_address) -> None:
-        log.exception("request from %s failed", client_address)
+    def _due(self, seconds: float) -> float:
+        """A deadline `seconds` from now, booked for the sweep."""
+        return self._book(time.monotonic() + seconds)
+
+    def _book(self, at: float) -> float:
+        """Have the loop sweep no later than `at`."""
+        if at < self._sweep_at:
+            self._sweep_at = at
+        return at
+
+    def _ready(self, events: int) -> None:
+        raise NotImplementedError
+
+    def _sweep(self, now: float) -> None:
+        """Act on every deadline at or before `now`, and `_book` the others."""
+
+    def _failed(self, fileobj, err: Exception) -> None:
+        log.error("serving %s failed", join_hostport(*self.address), exc_info=err)
 
     def __enter__(self):
         return self.start()
@@ -118,7 +131,7 @@ class ServerShell:
         self.stop()
 
 
-class UdpDnsServer(ServerShell, socketserver.UDPServer):
+class UdpDnsServer(ServerShell):
     """Decode, hand to the answer function, encode, reply.
 
     Undecodable datagrams and None answers are dropped silently, as a
@@ -128,8 +141,6 @@ class UdpDnsServer(ServerShell, socketserver.UDPServer):
     knows to narrow the query.
     """
 
-    max_packet_size = 65535
-
     def __init__(
         self,
         answer: Callable[[DnsMessage], Optional[DnsMessage]],
@@ -137,15 +148,15 @@ class UdpDnsServer(ServerShell, socketserver.UDPServer):
         port: int = 0,
     ) -> None:
         self._answer = answer
-        super().__init__((host, port), None)
+        super().__init__((host, port))
 
-    def finish_request(self, request, client_address) -> None:
-        """Answer one datagram in place of a handler class; a send that
-        fails goes to `handle_error` like any other failure."""
-        data, sock = request
+    def _ready(self, events: int) -> None:
+        """Answer one datagram; a send that fails is logged like any other
+        failure, and only that datagram goes unanswered."""
+        data, client = self.socket.recvfrom(MAX_DATAGRAM)
         wire = self._reply(data)
         if wire is not None:
-            sock.sendto(wire, client_address)
+            self.socket.sendto(wire, client)
 
     def _reply(self, data: bytes) -> bytes | None:
         try:

@@ -75,6 +75,7 @@ def test_a_failed_send_skips_that_datagram_only(monkeypatch):
     before = set(threading.enumerate())
     server = UdpDnsServer(answer).start()
     try:
+        assert len(set(threading.enumerate()) - before) == 1  # the server's one thread
         with client() as sock:
             query = DnsMessage(header=DnsHeader(id=7), questions=(Question(DomainName.from_text("x"), RType.TXT),))
             sock.sendto(encode(query), server.address)
@@ -82,7 +83,7 @@ def test_a_failed_send_skips_that_datagram_only(monkeypatch):
             assert reply.header.id == 8 and reply.header.rcode == 0
     finally:
         server.stop()
-    assert set(threading.enumerate()) <= before  # every worker thread has ended
+    assert set(threading.enumerate()) <= before  # the server's thread has ended
 
 
 def test_a_handler_exception_is_logged_and_the_next_query_answered(monkeypatch, caplog):

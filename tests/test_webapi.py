@@ -1,9 +1,11 @@
 """The HTTP front: its request reader, caps and JSON error replies, its
-fixed workers, and a recorded contract of status and body for a fixed
+one serving thread (idle, dripping, unread and surplus connections hold
+nothing of it), and a recorded contract of status and body for a fixed
 request corpus."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from digstack import dnsserver, webapi
-from digstack.digcovery import Digcovery, DomainRecord
+from digstack import webapi
+from digstack.digcovery import Digcovery, DomainRecord, PointerSummary
 from digstack.webapi import DigcoveryHttpServer, HttpDigcoveryClient
 import samples
 
@@ -397,22 +399,56 @@ def test_any_bytes_get_a_reply_or_a_close_and_the_front_keeps_answering():
     assert time.monotonic() - started < 60.0
 
 
-# --- fixed workers --------------------------------------------------------------------
+# --- one thread: idle, slow and surplus connections --------------------------------
 
 
-def test_idle_connections_are_dropped_and_free_their_workers(monkeypatch):
-    monkeypatch.setattr(webapi._Handler, "timeout", 0.3)
+def recv_replies(sock: socket.socket, count: int = 1) -> list[tuple[int, bytes]]:
+    """The next `count` replies' status and body, read off a kept connection."""
+    replies = []
+    with sock.makefile("rb") as stream:
+        for _ in range(count):
+            status, length = int(stream.readline().split()[1]), 0
+            while (line := stream.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            replies.append((status, stream.read(length)))
+    return replies
+
+
+def test_idle_connections_are_dropped_at_the_idle_timeout(monkeypatch):
+    monkeypatch.setattr(webapi, "IDLE_TIMEOUT", 0.3)
     with DigcoveryHttpServer(campus_core()) as server:
-        idle = [socket.create_connection(server.address, timeout=5) for _ in range(DigcoveryHttpServer.workers)]
+        idle = [socket.create_connection(server.address, timeout=5) for _ in range(4)]
         try:
-            time.sleep(0.05)  # each worker has taken one idle connection
+            time.sleep(0.05)  # the front has taken each idle connection
             started = time.monotonic()
             status, _ = read_reply(exchange(server.address, get("/api/v1/domains"))[0])
             waited = time.monotonic() - started
             assert status == 200 and waited < 0.3 + 2.0
             assert [sock.recv(1) for sock in idle] == [b""] * len(idle)  # the server closed each
+            assert time.monotonic() - started < 0.3 + 2.0
         finally:
             for sock in idle:
+                sock.close()
+
+
+def test_idle_kept_connections_leave_a_new_client_answered_at_once():
+    with DigcoveryHttpServer(campus_core()) as server:
+        kept = [socket.create_connection(server.address, timeout=5) for _ in range(64)]
+        try:
+            for sock in kept:
+                sock.sendall(get("/api/v1/domains"))
+            assert [recv_replies(sock)[0][0] for sock in kept] == [200] * len(kept)
+            started = time.monotonic()
+            assert len(HttpDigcoveryClient(server.url, timeout=5).query({"bool": {}})["results"]) == 5
+            assert time.monotonic() - started < 1.0
+            for sock in kept:  # still open: nothing to read, and no close
+                sock.setblocking(False)
+                with pytest.raises(BlockingIOError):
+                    sock.recv(1)
+        finally:
+            for sock in kept:
                 sock.close()
 
 
@@ -428,7 +464,7 @@ def _received(sock: socket.socket) -> bytes:
 
 
 def test_a_request_must_arrive_within_one_deadline(monkeypatch):
-    monkeypatch.setattr(webapi._Handler, "timeout", 0.5)
+    monkeypatch.setattr(webapi, "IDLE_TIMEOUT", 0.5)
     monkeypatch.setattr(webapi, "REQUEST_TIMEOUT", 1.0)
     # each client sends a little every 0.3 s, well within the idle timeout:
     # two send a header line at a time, two drip one line a byte at a time
@@ -450,7 +486,7 @@ def test_a_request_must_arrive_within_one_deadline(monkeypatch):
         try:
             for thread in threads:
                 thread.start()
-            time.sleep(0.1)  # each worker has taken one dripping client
+            time.sleep(0.1)  # each dripping client has sent its request line
             started = time.monotonic()
             status, _ = read_reply(exchange(server.address, get("/api/v1/domains"))[0])
             waited = time.monotonic() - started
@@ -463,6 +499,87 @@ def test_a_request_must_arrive_within_one_deadline(monkeypatch):
                 thread.join()
             for sock in socks:
                 sock.close()
+
+
+def test_a_client_that_never_reads_its_replies_is_closed_at_the_send_deadline(monkeypatch, caplog):
+    monkeypatch.setattr(webapi, "SEND_TIMEOUT", 0.5)
+    core = campus_core()
+    core.ingest(DOMAIN, [PointerSummary.from_dict(dict(LIGHT, instance=f"o{i}")) for i in range(5000)])
+    page = post(QUERY, {"query": {"bool": {}}, "limit": None})  # about 630 KB a reply
+    with caplog.at_level(logging.INFO, logger="digstack"), DigcoveryHttpServer(core) as server:
+        with socket.socket(family=socket.AF_INET) as stuck:
+            stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stuck.settimeout(5)
+            stuck.connect(server.address)
+            stuck.sendall(page * 12)  # far more reply than the socket buffers hold
+            started = time.monotonic()
+            client = HttpDigcoveryClient(server.url, timeout=5)
+            assert len(client.query({"term": {"rt": "light"}}, limit=1)["results"]) == 1
+            assert time.monotonic() - started < 0.5
+            while not any("did not take its reply" in r.getMessage() for r in caplog.records):
+                assert time.monotonic() - started < 0.5 + 1.0
+                time.sleep(0.02)
+            assert _received(stuck).count(b"HTTP/1.1 200 ") < 12  # closed before the rest
+    assert [r for r in caplog.records if r.exc_info] == []
+
+
+def test_pipelined_requests_are_answered_in_order_when_replies_wait_for_the_socket():
+    core = campus_core()
+    core.ingest(DOMAIN, [PointerSummary.from_dict(dict(LIGHT, instance=f"o{i}")) for i in range(5000)])
+    big, small = post(QUERY, {"query": {"bool": {}}, "limit": None}), get("/api/v1/domains")
+    with DigcoveryHttpServer(core) as server, socket.socket(family=socket.AF_INET) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(5)
+        sock.connect(server.address)
+        sock.sendall((big + small) * 8)  # about 5 MB of replies, more than the socket buffers hold
+        time.sleep(0.2)  # the front has filled the socket and waits for it
+        replies = recv_replies(sock, 16)
+    assert [status for status, _ in replies] == [200] * 16
+    assert [len(json.loads(body)["results"]) for _, body in replies[0::2]] == [5005] * 8
+    assert [len(json.loads(body)["domains"]) for _, body in replies[1::2]] == [1] * 8
+
+
+def test_a_request_line_over_the_cap_is_refused_before_the_client_stops_sending():
+    with DigcoveryHttpServer(campus_core()) as server, socket.create_connection(server.address, timeout=3) as sock:
+        sock.sendall(b"GET /api/v1/discover?pattern=" + b"a" * webapi.MAX_LINE)  # no newline, no close
+        status, body = read_reply(sock.recv(65536))
+    assert status == 414 and json.loads(body)["error"] == "request-line-too-long"
+
+
+def test_a_connection_past_the_cap_gets_503_while_a_kept_one_is_answered(monkeypatch):
+    monkeypatch.setattr(webapi, "MAX_CONNECTIONS", 2)
+    with DigcoveryHttpServer(campus_core()) as server:
+        kept = [socket.create_connection(server.address, timeout=5) for _ in range(2)]
+        try:
+            for sock in kept:  # a reply on each: the front holds both
+                sock.sendall(get("/api/v1/domains"))
+                assert recv_replies(sock)[0][0] == 200
+            with socket.create_connection(server.address, timeout=5) as extra:
+                status, body = read_reply(_received(extra))
+            assert status == 503 and json.loads(body)["error"] == "too-many-connections"
+            kept[0].sendall(get("/api/v1/domains"))
+            assert recv_replies(kept[0])[0][0] == 200
+        finally:
+            for sock in kept:
+                sock.close()
+
+
+def test_running_out_of_file_descriptors_pauses_accepting_and_the_front_goes_on(monkeypatch, caplog):
+    monkeypatch.setattr(webapi, "ACCEPT_PAUSE", 0.2)
+    accept, failures = socket.socket.accept, []
+
+    def accept_failing_twice(sock):
+        if len(failures) < 2:
+            failures.append(time.monotonic())
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_failing_twice)
+    with caplog.at_level(logging.WARNING, logger="digstack"), DigcoveryHttpServer(campus_core()) as server:
+        assert len(HttpDigcoveryClient(server.url, timeout=5).query({"bool": {}})["results"]) == 5
+    assert len(failures) == 2 and failures[1] - failures[0] >= 0.2  # paused, not spinning
+    assert len([r for r in caplog.records if "cannot accept" in r.getMessage()]) == 2
+    assert [r for r in caplog.records if r.exc_info] == []
 
 
 def test_a_client_gone_before_its_reply_is_one_log_line(caplog):
@@ -489,7 +606,7 @@ def test_stop_returns_soon_while_a_client_keeps_its_connection():
         server.stop()
         took = time.monotonic() - started
     try:
-        assert took < dnsserver.POLL_INTERVAL + 1.0
+        assert took < 1.0
         kept.settimeout(2.0)
         while kept.recv(65536):  # the rest of the reply, then the server's close
             pass
@@ -498,19 +615,27 @@ def test_stop_returns_soon_while_a_client_keeps_its_connection():
 
 
 def test_the_thread_count_does_not_grow_with_requests():
-    with DigcoveryHttpServer(campus_core()) as server:
+    before = set(threading.enumerate())
+    server = DigcoveryHttpServer(campus_core()).start()
+    try:
+        assert len(set(threading.enumerate()) - before) == 1  # the server's one thread
         client = HttpDigcoveryClient(server.url, timeout=5)
         base = threading.active_count()
         for _ in range(50):
             assert len(client.query({"bool": {}})["results"]) == 5
         assert threading.active_count() <= base
-        # clients that keep their connections open: at most `workers` are served at once
+        # clients that keep their connections open are served on the same thread
         kept = [socket.create_connection(server.address, timeout=5) for _ in range(8)]
         try:
             for sock in kept:
                 sock.sendall(get("/api/v1/domains"))
-            time.sleep(0.2)
+            assert [recv_replies(sock)[0][0] for sock in kept] == [200] * len(kept)
             assert threading.active_count() <= base
         finally:
             for sock in kept:
                 sock.close()
+    finally:
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.5
+    assert set(threading.enumerate()) <= before
