@@ -127,6 +127,14 @@ class DirectoryEntry:
             raise ValueError(f"geo point off the globe ({self.geo.lat}, {self.geo.lon})")
         return self
 
+    def name_keys(self) -> frozenset[tuple[bytes, ...]]:
+        """The `DomainName.key()` of each name this entry answers for: each
+        service path, bare and under the domain (PTR), the instance name and
+        the SRV target (the other types).  `Digrectory.answer` gives every
+        other name NXDOMAIN."""
+        names = (*self.ptr_paths, *(f"{path}.{self.domain}" for path in self.ptr_paths), self.instance_name)
+        return frozenset(DomainName.from_text(name).key() for name in names) | {self.srv.target.key()}
+
     def content_key(self) -> tuple:
         """Everything that makes a re-registration an update, not a refresh."""
         return (

@@ -472,6 +472,20 @@ def decode(data: bytes) -> DnsMessage:
     return DnsMessage(header, tuple(questions), answers, authority, additional)
 
 
+def query_name(data: bytes) -> DomainName | None:
+    """The first question's name of a query, read without decoding the rest;
+    None for a response (QR set) or a message with no question.  Raises the
+    `CodecError` that `decode` raises on the header or on that name."""
+    if len(data) < HEADER_LEN:
+        raise Truncated(f"message of {len(data)} bytes is shorter than a header")
+    flags, qdcount = struct.unpack_from("!HH", data, 2)
+    if flags & 0x8000 or not qdcount:
+        return None
+    reader = _Reader(data)
+    reader.pos = HEADER_LEN
+    return reader.read_name()
+
+
 def _skip_name(wire: bytes, pos: int) -> int:
     while wire[pos] and not wire[pos] & _POINTER_MASK:
         pos += 1 + wire[pos]

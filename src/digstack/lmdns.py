@@ -13,7 +13,7 @@ import random
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol
+from typing import Container, Iterator, Protocol
 
 from .digrectory import Digrectory, DirectoryEntry, InstanceRecords, resolve_instance
 from .dnscodec import (
@@ -26,6 +26,7 @@ from .dnscodec import (
     SrvData,
     decode,
     encode,
+    query_name,
 )
 from .dnsserver import family_for
 from .semantics import ServiceMetadata
@@ -98,12 +99,18 @@ class SmartObjectAgent:
     The object answers as a one-entry directory holding its own entry, so
     both discovery mechanisms serve one record set by one set of rules.
     Where a directory would say NXDOMAIN the object stays silent: an mDNS
-    responder speaks only for the names it owns (RFC 6762, section 6).
+    responder speaks only for the names it owns (RFC 6762, section 6).  A
+    question about any other name is dropped once its name is read off the
+    wire, before the message is decoded.  A profile whose names do not fit
+    DNS, or whose metadata is not one TXT string, is refused with a
+    ValueError before the object joins the link.
     """
 
     def __init__(self, profile: SmartObjectProfile, link, address: str | None = None) -> None:
+        entry = profile.entry().servable()
         self.directory = Digrectory(profile.domain)
-        self.directory.register(profile.entry())
+        self.directory.register(entry)
+        self._owned = entry.name_keys()
         self.endpoint = link.attach(address or f"obj:{profile.instance}", responder=self._handle)
 
     def answer(self, query: DnsMessage) -> DnsMessage | None:
@@ -113,6 +120,9 @@ class SmartObjectAgent:
 
     def _handle(self, payload: bytes, src) -> None:
         try:
+            name = query_name(payload)
+            if name is None or name.key() not in self._owned:
+                return
             query = decode(payload)
         except CodecError:
             return
@@ -175,7 +185,7 @@ def ask(transport: Transport, dst, name: str | DomainName, rrtype: int, window: 
 
 
 def registration_handshake(
-    known: Iterable[str],
+    known: Container[str],
     discovered: ProbeResult,
     transport: Transport,
     *,
@@ -183,12 +193,14 @@ def registration_handshake(
 ) -> InstanceRecords | None:
     """Resolve a probed instance, or skip it entirely when already known.
 
-    A known instance costs zero messages.  A new one costs exactly one
-    SRV, one TXT and one AAAA exchange, also when it does not answer
-    (`digrectory.Unresolved`).
+    `known` holds the lowercased names of the instances already known, as
+    `probe` reports them ("instance.domain"); a set makes the check one
+    lookup.  A known instance costs zero messages.  A new one costs
+    exactly one SRV, one TXT and one AAAA exchange, also when it does not
+    answer (`digrectory.Unresolved`).
     """
     instance = discovered.instance.lower()
-    if instance in {k.lower() for k in known}:
+    if instance in known:
         return None
     return resolve_instance(lambda owner, rrtype: ask(transport, discovered.responder, owner, rrtype, window), instance)
 

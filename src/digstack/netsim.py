@@ -100,8 +100,9 @@ class SimulatedLink:
     """Single-threaded datagram network with a logical clock.
 
     Delivery is synchronous and in attachment order, so every run is
-    deterministic.  Each datagram is logged, which is what the message
-    economy checks count.
+    deterministic.  An endpoint attached with a responder is handed each
+    datagram at once; any other keeps it in its inbox until `poll`.  Each
+    datagram is logged, which is what the message economy checks count.
     """
 
     def __init__(self) -> None:
@@ -127,9 +128,9 @@ class SimulatedLink:
         else:
             targets = [dst] if dst in self._endpoints else []
         for address in targets:
-            self._endpoints[address].inbox.append((payload, src))
             responder = self._responders.get(address)
             if responder is not None:
-                self._endpoints[address].inbox.pop()
                 responder(payload, src)
+            else:
+                self._endpoints[address].inbox.append((payload, src))
 

@@ -29,6 +29,7 @@ from digstack.dnscodec import (
     decode,
     encode,
     measure,
+    query_name,
     response_for,
     truncate,
 )
@@ -278,3 +279,20 @@ def test_decode_is_total_over_garbage(blob):
         decode(blob)
     except CodecError:
         pass
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_messages.map(encode), st.binary(max_size=160)))
+def test_query_name_reads_what_decode_reads(wire):
+    try:
+        msg = decode(wire)
+    except CodecError:
+        msg = None
+    try:
+        name = query_name(wire)
+    except CodecError:
+        assert msg is None  # it raises only where decode raises
+        return
+    if msg is not None:
+        first = msg.questions[0].name if msg.questions and not msg.header.qr else None
+        assert (name and name.labels) == (first and first.labels)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import struct
 
-from digstack import fixtures
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from digstack import fixtures, lmdns
 from digstack.digrectory import Unresolved
 from digstack.dnscodec import (
+    CodecError,
     DnsHeader,
     DnsMessage,
     DomainName,
@@ -99,6 +104,114 @@ def test_only_the_first_question_is_answered():
     questions = tuple(Question(DomainName.from_text("light_lab.rd.esiot.com"), t) for t in (RType.SRV, RType.TXT))
     reply = _answer(_profile(), DnsMessage(header=DnsHeader(id=99), questions=questions))
     assert [rr.rrtype for rr in reply.answers] == [RType.SRV]
+
+
+def test_an_agent_with_a_name_that_does_not_fit_dns_is_refused():
+    link = SimulatedLink()
+    SmartObjectAgent(_lamp_profile(1), link)
+    unfit = _lamp_profile(2)
+    unfit.service_path = "_" + "x" * 69 + "._sub._coap._udp"
+    with pytest.raises(ValueError):
+        SmartObjectAgent(unfit, link)
+    # the refused agent is not on the link, so a probe for another path still works
+    prober = link.attach("directory")
+    assert [r.instance for r in probe(prober, "_lamp._sub._coap._udp", window=0.01)] == ["lamp1.rd.esiot.com"]
+
+
+# --- what the agent sends, and what it does not decode ----------------------------------
+
+
+def test_a_probe_is_decoded_only_by_the_agents_that_own_its_path(monkeypatch):
+    link = SimulatedLink()
+    for i in range(6):
+        profile = _lamp_profile(i)
+        if i % 2:
+            profile.service_path, profile.aliases = "_thermo._coap._udp", []
+        SmartObjectAgent(profile, link)
+    prober = link.attach("directory")
+    decoded = []
+
+    def counting_decode(payload):
+        decoded.append(payload)
+        return decode(payload)
+
+    monkeypatch.setattr(lmdns, "decode", counting_decode)
+    assert len(probe(prober, "_lamp._sub._coap._udp", window=0.01)) == 3
+    assert len(decoded) == 3 + 3  # the three owners decode the probe, the prober their three replies
+
+
+_PATHS = (fixtures.SERVICE_PATH, *fixtures.SERVICE_ALIASES)
+# one group per rule of the agent's answers, and one of names it does not own
+_NAME_GROUPS = (
+    _PATHS,
+    tuple(f"{path}.{fixtures.DOMAIN}" for path in _PATHS),
+    (fixtures.INSTANCE_NAME,),
+    (fixtures.HOSTNAME,),
+    (
+        "_thermo._coap._udp",
+        "_sub._coap._udp.rd.esiot.com",
+        "other.rd.esiot.com",
+        "light_lab",
+        fixtures.DOMAIN,
+        "light1.rd.esiot.org",
+    ),
+)
+
+_qnames = st.builds(
+    lambda name, mask: "".join(c.upper() if mask >> i & 1 else c for i, c in enumerate(name)),
+    st.one_of(*(st.sampled_from(group) for group in _NAME_GROUPS)),
+    st.integers(0, 2**64 - 1),
+)
+
+
+def _labels(name: str) -> bytes:
+    return b"".join(bytes([len(label)]) + label for label in (part.encode() for part in name.split(".")))
+
+
+@st.composite
+def _queries(draw) -> bytes:
+    """Query wire bytes, written by hand so that the first name can be
+    compressed: either its root is a pointer to the zero high byte of the
+    question count, or its last label "com" is a pointer into a header
+    whose id and flags spell that label."""
+    names = draw(st.lists(_qnames, max_size=2))
+    qtype = st.one_of(st.sampled_from([int(t) for t in RType]), st.integers(0, 0xFFFF))
+    qclass = st.sampled_from([1, 0x8001, 255])
+    ident, flags = draw(st.integers(0, 0xFFFF)), draw(st.sampled_from([0, 0x0100, 0x8400, 0x8000]))
+    form = draw(st.sampled_from(["plain", "root pointer", "label in header"]))
+    first = b""
+    if names:
+        first = _labels(names[0]) + b"\x00"
+        if form == "root pointer":
+            first = first[:-1] + b"\xc0\x04"
+        elif form == "label in header" and names[0].lower().endswith(".com"):
+            ident, flags = 0x0363, 0x6F6D  # "\x03c" "om", then the question count's zero high byte
+            first = _labels(names[0][: -len(".com")]) + b"\xc0\x00"
+    wire = struct.pack("!HHHHHH", ident, flags, len(names), 0, 0, 0)
+    for i, name in enumerate(names):
+        wire += (first if i == 0 else _labels(name) + b"\x00") + struct.pack("!HH", draw(qtype), draw(qclass))
+    return wire
+
+
+_payloads = st.one_of(
+    st.binary(max_size=80),
+    _queries(),
+    _queries().flatmap(lambda wire: st.integers(0, len(wire)).map(lambda cut: wire[:cut])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_payloads)
+def test_handle_sends_what_decode_answer_encode_would(payload):
+    link = SimulatedLink()
+    agent = SmartObjectAgent(_profile(), link)
+    peer = link.attach("peer")
+    agent._handle(payload, "peer")
+    try:
+        reply = agent.answer(decode(payload))
+    except CodecError:
+        reply = None
+    assert peer.poll() == ([] if reply is None else [(encode(reply), agent.endpoint.address)])
 
 
 # --- probe ----------------------------------------------------------------------
