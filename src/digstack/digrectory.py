@@ -272,6 +272,7 @@ class Digrectory:
         # Held while the entries or rows change and while a reader copies
         # them, so no thread iterates a dict another thread is resizing.
         self._lock = threading.Lock()
+        self._browse: tuple[int, dict] = (0, {})  # (revision, table) of `_browse_table`
         self._journal_path = Path(journal_path) if journal_path else None
         self._journal_offset = 0  # bytes of the journal already applied
         self._journal_lines = 0  # lines in those bytes, for error positions
@@ -440,24 +441,58 @@ class Digrectory:
 
     # -- DNS answering --
 
-    def _ptr_answers(self, qname: DomainName) -> list[ResourceRecord]:
-        answers = []
-        for entry in self.live_entries():
+    def _browse_table(self) -> dict[tuple[bytes, ...], list[tuple[DomainName, int]]]:
+        """PTR owner key (each service path, bare and under the domain) ->
+        the instance name and ttl of each live entry listed under it, in
+        instance order, once per path of the entry that owns the key.  Built
+        outside the lock from a copy of the entries, and again only once the
+        revision has moved: a refresh changes no name.  A name that does
+        not fit DNS is left out, as no question can equal it."""
+        revision, table = self._browse
+        if revision == self._revision:
+            return table
+        with self._lock:
+            revision, entries = self._revision, list(self._entries.items())
+        entries.sort(key=lambda item: item[0])  # keyed by instance.lower(), which is unique
+        owners: dict[str, list[tuple[bytes, ...]]] = {}  # by path string, built once each
+        table: dict[tuple[bytes, ...], list[tuple[DomainName, int]]] = {}
+        for _, entry in entries:
+            try:
+                record = (DomainName.from_text(entry.instance_name), entry.ttl)
+            except ValueError:
+                continue
             for path in entry.ptr_paths:
-                for owner in (path, f"{path}.{self.domain}"):
-                    if qname == DomainName.from_text(owner):
-                        answers.append(
-                            ResourceRecord(
-                                qname, RType.PTR, entry.ttl, DomainName.from_text(entry.instance_name)
-                            )
-                        )
-                        break
-        return answers
+                if path not in owners:
+                    owners[path] = self._owner_keys(path)
+                for key in owners[path]:
+                    table.setdefault(key, []).append(record)
+        self._browse = (revision, table)
+        return table
+
+    def _owner_keys(self, path: str) -> list[tuple[bytes, ...]]:
+        """The distinct keys of a path's two PTR owner names, bare and under
+        the domain (one under an empty domain), leaving out one that does
+        not fit DNS."""
+        keys = []
+        for owner in (path, f"{path}.{self.domain}"):
+            try:
+                key = DomainName.from_text(owner).key()
+            except ValueError:
+                continue
+            if key not in keys:
+                keys.append(key)
+        return keys
+
+    def _ptr_answers(self, qname: DomainName) -> list[ResourceRecord]:
+        return [ResourceRecord(qname, RType.PTR, ttl, name) for name, ttl in self._browse_table().get(qname.key(), ())]
 
     def _entry_for_name(self, qname: DomainName) -> Optional[DirectoryEntry]:
         for entry in self._snapshot():
-            if qname == DomainName.from_text(entry.instance_name) or qname == entry.srv.target:
-                return entry
+            try:
+                if qname == DomainName.from_text(entry.instance_name) or qname == entry.srv.target:
+                    return entry
+            except ValueError:  # a name that does not fit DNS equals no question
+                continue
         return None
 
     def answer(self, query: DnsMessage) -> Optional[DnsMessage]:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import ipaddress
 import json
 import logging
 import sys
+import tempfile
 import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,8 +41,11 @@ from digstack.dnscodec import (
     DnsMessage,
     DomainName,
     Question,
+    ResourceRecord,
     RType,
     encode,
+    response_for,
+    truncate,
 )
 from digstack.semantics import ServiceMetadata, to_txt
 from digstack.webapi import DigcoveryHttpServer, EndpointUnreachable, HttpDigcoveryClient
@@ -170,6 +177,110 @@ def test_answer_ignores_responses_and_empty_queries():
     d = make_directory()
     assert d.answer(fixtures.srv_reply_optimized()) is None
     assert d.answer(DnsMessage()) is None
+
+
+def test_an_entry_whose_names_do_not_fit_dns_breaks_no_other_answer():
+    # an unjournaled register skips the door check, so such an entry can be held
+    d = Digrectory(fixtures.DOMAIN)
+    d.register(light("x" * 70))  # its instance label is over 63 bytes
+    long_path = light("light_long_path")
+    long_path.ptr_paths = (fixtures.SERVICE_PATH, "_" + "p" * 70 + "._sub._coap._udp")
+    d.register(long_path)
+    d.register(fixtures.light_lab_entry())
+    assert d.answer(query(fixtures.INSTANCE_NAME, RType.SRV)).answers == fixtures.srv_reply_optimized().answers
+    assert d.answer(query(fixtures.HOSTNAME, RType.A)).answers[0].rdata == fixtures.HOST_ADDR4
+    browse = d.answer(query(fixtures.SERVICE_PATH, RType.PTR))
+    assert [str(rr.rdata) for rr in browse.answers] == [fixtures.INSTANCE_NAME, f"light_long_path.{fixtures.DOMAIN}"]
+    alias = d.answer(query(f"{fixtures.SERVICE_ALIASES[0]}.{fixtures.DOMAIN}", RType.PTR))
+    assert [str(rr.rdata) for rr in alias.answers] == [fixtures.INSTANCE_NAME]
+    assert d.answer(query(f"{'x' * 63}.{fixtures.DOMAIN}", RType.SRV)).header.rcode == 3
+
+
+def test_a_repeated_browse_builds_a_name_only_per_record(monkeypatch):
+    d = Digrectory(fixtures.DOMAIN)
+    for i in range(2000):
+        entry = light(f"light_{i:04d}")
+        if i % 100:
+            entry.ptr_paths = (fixtures.SERVICE_ALIASES[0],)
+        d.register(entry)
+    browse = query(fixtures.SERVICE_PATH, RType.PTR)
+    assert len(d.answer(browse).answers) == 20
+    built = []
+    from_text = DomainName.from_text.__func__
+    counting = classmethod(lambda cls, text: built.append(text) or from_text(cls, text))
+    monkeypatch.setattr(DomainName, "from_text", counting)
+    assert len(d.answer(browse).answers) == 20
+    assert len(built) <= 20
+    monkeypatch.undo()
+    d.register(light("light_new"))
+    assert str(d.answer(browse).answers[-1].rdata) == f"light_new.{fixtures.DOMAIN}"
+
+
+def scan_ptr_reply(d: Digrectory, q: DnsMessage) -> DnsMessage:
+    """A browse answered as it was before the browse table: a scan of every
+    live entry, in instance order, one record per matching service path."""
+    qname = q.questions[0].name
+    answers = []
+    for entry in d.live_entries():
+        for path in entry.ptr_paths:
+            for owner in (path, f"{path}.{d.domain}"):
+                if qname == DomainName.from_text(owner):
+                    answers.append(
+                        ResourceRecord(qname, RType.PTR, entry.ttl, DomainName.from_text(entry.instance_name))
+                    )
+                    break
+    return response_for(q, answers) if answers else response_for(q, [], rcode=3)
+
+
+_BROWSE_PATHS = (
+    fixtures.SERVICE_PATH,
+    "_LAMP._sub._coap._UDP",  # the same owner names as SERVICE_PATH
+    fixtures.SERVICE_ALIASES[0],
+    f"{fixtures.SERVICE_PATH}.{fixtures.DOMAIN}",  # bare, equal to SERVICE_PATH under the domain
+    f"{fixtures.SERVICE_ALIASES[1]}.RD.esiot.com",
+)
+_BROWSE_QUESTIONS = tuple(
+    name
+    for path in _BROWSE_PATHS
+    for owner in (path, f"{path}.{fixtures.DOMAIN}")
+    for name in (owner, owner.swapcase())
+) + ("_none._udp", fixtures.DOMAIN, f"o0.{fixtures.DOMAIN}", f"{fixtures.SERVICE_ALIASES[2]}.{fixtures.DOMAIN}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.booleans(),
+    st.sampled_from((fixtures.DOMAIN, "")),  # under the empty domain a path's two owner names are one
+    st.lists(
+        st.tuples(
+            st.sampled_from(("register", "register", "refresh", "withdraw")),
+            st.sampled_from(("o0", "O0", "o1", "o2")),
+            st.lists(st.sampled_from(_BROWSE_PATHS), min_size=1, max_size=3),
+            st.sampled_from((60, 604800)),
+        ),
+        max_size=25,
+    ),
+)
+def test_browses_answer_what_a_scan_of_every_entry_would(journaled, domain, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Digrectory(domain, clock=FakeClock(), journal_path=str(Path(tmp) / "j") if journaled else None)
+        for op, name, paths, ttl in [("browse", "", (), 0), *steps]:
+            if op == "register":
+                entry = fixtures.light_lab_entry()
+                entry.instance, entry.domain, entry.ptr_paths, entry.ttl = name, domain, tuple(paths), ttl
+                d.register(entry)
+            elif op in ("refresh", "withdraw"):
+                try:
+                    stored = d.get(name)
+                except UnknownInstance:
+                    continue
+                if op == "refresh":
+                    d.register(dataclasses.replace(stored))
+                else:
+                    d.withdraw(name)
+            for qid, owner in enumerate(_BROWSE_QUESTIONS):
+                q = query(owner, RType.PTR, qid=qid)
+                assert truncate(encode(d.answer(q)), 512) == truncate(encode(scan_ptr_reply(d, q)), 512), owner
 
 
 # --- journal and entry files ---------------------------------------------------------
@@ -338,7 +449,7 @@ def test_answers_stay_whole_while_entries_change():
     for i in range(1000):
         d.register(light(f"light_{i:04d}"))
     name = f"light_0999.{fixtures.DOMAIN}"
-    stop, failures, answered = threading.Event(), [], []
+    stop, failures, answered, browsed = threading.Event(), [], [], []
 
     def ask():
         while not stop.is_set():
@@ -348,20 +459,35 @@ def test_answers_stay_whole_while_entries_change():
             except Exception as err:  # noqa: BLE001 - any raise is the failure under test
                 failures.append(err)
 
+    def browse():
+        while not stop.is_set():
+            try:
+                browsed.append(len(d.answer(query(fixtures.SERVICE_PATH, RType.PTR)).answers))
+            except Exception as err:  # noqa: BLE001 - any raise is the failure under test
+                failures.append(err)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    asker = threading.Thread(target=ask, daemon=True)
-    asker.start()
+    readers = [threading.Thread(target=ask, daemon=True), threading.Thread(target=browse, daemon=True)]
+    for reader in readers:
+        reader.start()
     try:
         for i in range(1000, 4000):
             d.register(light(f"light_{i:04d}"))
+            if i % 200 == 0:  # let a browse land between these writes and the next
+                seen, deadline = len(browsed), time.monotonic() + 10
+                while len(browsed) == seen and not failures and time.monotonic() < deadline:
+                    time.sleep(0.001)
     finally:
         stop.set()
-        asker.join(timeout=30)
+        for reader in readers:
+            reader.join(timeout=30)
         sys.setswitchinterval(interval)
-    assert not asker.is_alive()
+    assert not any(reader.is_alive() for reader in readers)
     assert failures == []
     assert answered and all(answered)
+    # the writer only adds entries, so a later browse never lists fewer
+    assert browsed and browsed == sorted(browsed)
 
 
 def test_journal_parse_error_carries_line(tmp_path):
